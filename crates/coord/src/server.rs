@@ -128,6 +128,9 @@ struct Inner {
     /// `fail_msu`, stream I/O errors, panics, and `SIGUSR1`.
     flight: Arc<FlightRecorder>,
     stop: AtomicBool,
+    /// Notified at shutdown so the heartbeat loop's interval wait ends
+    /// at once instead of polling `stop`.
+    stop_signal: (std::sync::Mutex<()>, std::sync::Condvar),
 }
 
 /// Mints a fresh end-to-end trace context.
@@ -174,6 +177,7 @@ impl CoordServer {
             cluster: Mutex::new(HashMap::new()),
             flight,
             stop: AtomicBool::new(false),
+            stop_signal: Default::default(),
         });
 
         let mut handles = Vec::new();
@@ -228,6 +232,13 @@ impl CoordServer {
     pub fn shutdown(mut self) {
         calliope_obs::flight::unregister("coord");
         self.inner.stop.store(true, Ordering::Release);
+        {
+            // Taken so the notify cannot fall between the heartbeat
+            // loop's `stop` check and its wait.
+            let (lock, cv) = &self.inner.stop_signal;
+            let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
+            cv.notify_all();
+        }
         // Poke the listeners so `accept` returns.
         let _ = TcpStream::connect(self.client_addr);
         let _ = TcpStream::connect(self.msu_addr);
@@ -408,15 +419,15 @@ fn fail_msu(inner: &Inner, msu: MsuId) {
 fn heartbeat_loop(inner: &Arc<Inner>, interval: Duration, max_misses: u32) {
     let mut misses: HashMap<MsuId, u32> = HashMap::new();
     loop {
-        // Sleep one interval in small slices so shutdown stays prompt.
-        let mut slept = Duration::ZERO;
-        while slept < interval {
-            if inner.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let slice = Duration::from_millis(20).min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
+        // Sleep one whole interval; shutdown notifies the condvar, so
+        // it stays prompt without waking to poll.
+        {
+            let (lock, cv) = &inner.stop_signal;
+            let guard = lock.lock().unwrap_or_else(|e| e.into_inner());
+            let _ = cv.wait_timeout_while(guard, interval, |_| !inner.stop.load(Ordering::Acquire));
+        }
+        if inner.stop.load(Ordering::Acquire) {
+            return;
         }
         for msu in inner.conns.ids() {
             if inner.stop.load(Ordering::Acquire) {

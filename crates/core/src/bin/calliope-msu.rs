@@ -7,10 +7,13 @@
 //!
 //! Opens (or formats) `N` file-backed disks of `blocks` × 256 KB under
 //! the data directory, registers with the Coordinator, and serves
-//! streams until killed. `--previous` re-registers under a prior
-//! identity after a restart (paper §2.2 fault tolerance).
+//! streams until killed. `--tick-ms` sets the pacing grain, the least
+//! spacing between two network-thread wakeups (default 1.5 ms;
+//! fractions allowed).
+//! `--previous` re-registers under a prior identity after a restart
+//! (paper §2.2 fault tolerance).
 
-use calliope_msu::config::{DiskSpec, MsuConfig};
+use calliope_msu::config::{DiskSpec, MsuConfig, DEFAULT_NET_GRAIN};
 use calliope_msu::MsuServer;
 use calliope_types::MsuId;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -31,7 +34,7 @@ fn main() {
     let mut disks = 2usize;
     let mut blocks = 8192u64; // a 2 GB "Barracuda", sparse on disk
     let mut bind_ip = IpAddr::V4(Ipv4Addr::LOCALHOST);
-    let mut tick_ms = 10u64;
+    let mut tick_ms = DEFAULT_NET_GRAIN.as_secs_f64() * 1e3;
     let mut previous: Option<MsuId> = None;
 
     let mut args = std::env::args().skip(1);
@@ -57,7 +60,7 @@ fn main() {
         data_dir: data_dir.clone(),
         disks: (0..disks).map(|_| DiskSpec::healthy(blocks)).collect(),
         bind_ip,
-        net_tick: Duration::from_millis(tick_ms.max(1)),
+        net_tick: Duration::from_secs_f64(tick_ms.max(0.1) / 1e3),
         previous_id: previous,
     };
     let server = match MsuServer::start(cfg) {
@@ -77,7 +80,7 @@ fn main() {
     println!("(^C to stop)");
     let main_span = tracing::info_span!("msu", id = server.id());
     let _guard = main_span.enter();
-    tracing::info!("serving: {disks} disks, tick {tick_ms} ms");
+    tracing::info!("serving: {disks} disks, pacing grain {tick_ms} ms");
     loop {
         std::thread::sleep(Duration::from_secs(30));
         println!("status: {} active streams", server.stream_count());

@@ -108,9 +108,11 @@ pub struct StreamShared {
     pub stats: StreamStats,
 }
 
-/// A packet later than this missed its deadline outright: lateness up
-/// to one pacing tick (10 ms, the paper's timer granularity) is
-/// expected jitter; beyond it the MSU fell behind schedule.
+/// A packet later than this missed its deadline outright. The paper's
+/// pacer woke on a 10 ms timer, so up to one tick of lateness was its
+/// expected jitter; beyond it the MSU fell behind schedule. The
+/// deadline-driven pacer keeps the same line, so the counter stays
+/// comparable.
 pub const DEADLINE_MISS_US: u64 = 10_000;
 
 /// Lightweight delivery counters (inspected by tests and the status

@@ -252,3 +252,45 @@ fn per_stream_counters_appear_and_vanish_with_the_stream() {
     }
     cluster.shutdown();
 }
+
+/// The MSU's threads sleep until there is work: with no streams, the
+/// network thread has no deadline to wait for and the disk threads
+/// block on their command channels, so neither wakes. Guards against a
+/// polling loop creeping back into either thread.
+#[test]
+fn an_idle_msu_does_not_wake_its_threads() {
+    let cluster = Cluster::builder().msus(1).build().unwrap();
+    let wakeups = || {
+        let snap = cluster.msus[0].metrics().registry.snapshot("msu");
+        (snap.counter("net.wakeups"), snap.counter("disk.wakeups"))
+    };
+    let assert_idle = |phase: &str| {
+        let (net0, disk0) = wakeups();
+        std::thread::sleep(Duration::from_millis(300));
+        let (net1, disk1) = wakeups();
+        assert!(
+            net1 - net0 <= 1 && disk1 - disk0 <= 1,
+            "{phase}: {} net and {} disk wakeups in 300 ms with no streams",
+            net1 - net0,
+            disk1 - disk0
+        );
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    assert_idle("fresh MSU");
+
+    // After a recording and a playback have come and gone, the threads
+    // are idle again: no stale timer or ring keeps waking them.
+    let mut client = cluster.client("idle", false).unwrap();
+    content::upload_mpeg(&mut client, "clip", 1, 3).unwrap();
+    let port = client.open_port("tv", "mpeg1").unwrap();
+    let mut play = client.play("clip", "tv", &[&port]).unwrap();
+    assert_eq!(
+        play.wait_end(Duration::from_secs(30)).unwrap(),
+        DoneReason::Completed
+    );
+    let (net_busy, disk_busy) = wakeups();
+    assert!(net_busy > 0 && disk_busy > 0, "the counters count");
+    std::thread::sleep(Duration::from_millis(200));
+    assert_idle("after teardown");
+    cluster.shutdown();
+}
