@@ -239,10 +239,47 @@ mod tests {
         }
     }
 
+    /// Checks a golden table as `calliope_types`' own wire tests do: each
+    /// value encodes to exactly its hex and decodes back, every strict
+    /// prefix fails, and for a tagged enum (`what`) the smallest unused
+    /// first byte fails with `BadTag { what, .. }`.
+    fn check_golden<T: Wire + PartialEq + std::fmt::Debug>(
+        rows: &[(T, &str)],
+        what: Option<&'static str>,
+    ) {
+        for (v, want) in rows {
+            let bytes = v.to_bytes();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            let want: String = want.split_whitespace().collect();
+            assert_eq!(got, want, "encoding of {v:?}");
+            assert_eq!(&T::from_bytes(&bytes).unwrap(), v);
+            for cut in 0..bytes.len() {
+                assert!(T::from_bytes(&bytes[..cut]).is_err(), "{v:?} cut at {cut}");
+            }
+        }
+        let Some(what) = what else { return };
+        let tag = (0..=u8::MAX)
+            .find(|t| rows.iter().all(|(v, _)| v.to_bytes()[0] != *t))
+            .unwrap();
+        for (v, _) in rows {
+            let mut bytes = v.to_bytes();
+            bytes[0] = tag;
+            assert_eq!(T::from_bytes(&bytes), Err(WireError::BadTag { what, tag }));
+        }
+    }
+
     #[test]
     fn meta_round_trip() {
         let m = sample_meta("movie");
-        assert_eq!(FileMeta::from_bytes(&m.to_bytes()).unwrap(), m);
+        check_golden(
+            &[(FileKind::Raw, "00"), (FileKind::IbTree, "01")],
+            Some("file kind"),
+        );
+        check_golden(&[(m.root[0], "00000000000000000300000000000000")], None);
+        check_golden(&[(m.clone(), "050000006d6f7669650140e20100000000000087930300000000040000000500\
+                                    0000000000000600000000000000070000000000000063000000000000000200\
+                                    0000640000000000000065000000000000000100000000000000000000000300\
+                                    00000000000000")], None);
         assert_eq!(m.pages(), 4);
         assert_eq!(m.blocks_charged(), 6);
     }

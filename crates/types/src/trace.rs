@@ -112,22 +112,22 @@ impl Wire for TraceCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::check_golden;
 
     #[test]
     fn trace_ctx_round_trips() {
-        for kind in [
-            SpanKind::None,
-            SpanKind::Play,
-            SpanKind::Record,
-            SpanKind::Failover,
-        ] {
-            let ctx = TraceCtx::new(0xDEADBEEF_00C0FFEE, kind);
-            let back = TraceCtx::from_bytes(&ctx.to_bytes()).unwrap();
-            assert_eq!(back, ctx);
-        }
-        let ctx = TraceCtx::default();
-        assert!(!ctx.is_traced());
-        assert_eq!(TraceCtx::from_bytes(&ctx.to_bytes()).unwrap(), ctx);
+        let id = 0xDEADBEEF_00C0FFEE;
+        check_golden(
+            &[
+                (TraceCtx::new(id, SpanKind::None), "eeffc000efbeadde00"),
+                (TraceCtx::new(id, SpanKind::Play), "eeffc000efbeadde01"),
+                (TraceCtx::new(id, SpanKind::Record), "eeffc000efbeadde02"),
+                (TraceCtx::new(id, SpanKind::Failover), "eeffc000efbeadde03"),
+                (TraceCtx::default(), "000000000000000000"),
+            ],
+            None,
+        );
+        assert!(!TraceCtx::default().is_traced());
     }
 
     #[test]

@@ -1318,6 +1318,8 @@ mod tests {
     use super::*;
     use crate::time::MediaTime;
     use crate::trace::SpanKind;
+    use crate::wire::stats::{MetricEntry, MetricValue};
+    use crate::wire::tests::check_golden;
     use proptest::prelude::*;
 
     fn round_trip<T: Wire + PartialEq + core::fmt::Debug>(v: &T) {
@@ -1329,273 +1331,489 @@ mod tests {
         "10.1.2.3:5004".parse().unwrap()
     }
 
+    fn ctrl_addr() -> SocketAddr {
+        "10.1.2.3:6000".parse().unwrap()
+    }
+
     fn sample_trace() -> TraceCtx {
         TraceCtx::new(0xABCD_1234, SpanKind::Play)
     }
 
+    fn sample_trick() -> TrickFiles {
+        TrickFiles {
+            fast_forward: "movie.ff".into(),
+            fast_backward: "movie.fb".into(),
+        }
+    }
+
+    fn small_snapshot() -> StatsSnapshot {
+        StatsSnapshot {
+            source: "msu-1".into(),
+            uptime_us: 42_000_000,
+            metrics: vec![MetricEntry {
+                name: "net.packets_sent".into(),
+                value: MetricValue::Counter(1000),
+            }],
+        }
+    }
+
     #[test]
     fn client_requests_round_trip() {
-        let reqs = vec![
-            ClientRequest::Hello {
-                client_name: "mbone-client".into(),
-                admin: false,
-            },
-            ClientRequest::ListContent,
-            ClientRequest::ListTypes,
-            ClientRequest::RegisterPort {
-                name: "video0".into(),
-                type_name: "nv-video".into(),
-                data_addr: sample_addr(),
-                ctrl_addr: "10.1.2.3:6000".parse().unwrap(),
-            },
-            ClientRequest::RegisterCompositePort {
-                name: "seminar0".into(),
-                type_name: "seminar".into(),
-                components: vec!["video0".into(), "audio0".into()],
-            },
-            ClientRequest::UnregisterPort {
-                name: "video0".into(),
-            },
-            ClientRequest::Play {
-                content: "lecture-1".into(),
-                port: "seminar0".into(),
-            },
-            ClientRequest::Record {
-                content: "new-talk".into(),
-                port: "video0".into(),
-                type_name: "nv-video".into(),
-                est_secs: 3600,
-            },
-            ClientRequest::Delete {
-                content: "old".into(),
-            },
-            ClientRequest::AddType {
-                spec: crate::content::builtin_types().remove(0),
-            },
-            ClientRequest::AttachTrick {
-                content: "movie".into(),
-                files: TrickFiles {
-                    fast_forward: "movie.ff".into(),
-                    fast_backward: "movie.fb".into(),
-                },
-            },
-            ClientRequest::Bye,
-            ClientRequest::Replicate {
-                content: "popular".into(),
-            },
-            ClientRequest::ClusterStats,
-        ];
-        for r in &reqs {
-            round_trip(r);
-        }
+        check_golden(
+            &[(
+                sample_trick(),
+                "080000006d6f7669652e6666080000006d6f7669652e6662",
+            )],
+            None,
+        );
+        check_golden(
+            &[
+                (
+                    ClientRequest::Hello {
+                        client_name: "mbone-client".into(),
+                        admin: false,
+                    },
+                    "000c0000006d626f6e652d636c69656e7400",
+                ),
+                (ClientRequest::ListContent, "01"),
+                (ClientRequest::ListTypes, "02"),
+                (
+                    ClientRequest::RegisterPort {
+                        name: "video0".into(),
+                        type_name: "nv-video".into(),
+                        data_addr: sample_addr(),
+                        ctrl_addr: ctrl_addr(),
+                    },
+                    "0306000000766964656f30080000006e762d766964656f040a0102038c13040a\
+                     0102037017",
+                ),
+                (
+                    ClientRequest::RegisterCompositePort {
+                        name: "seminar0".into(),
+                        type_name: "seminar".into(),
+                        components: vec!["video0".into(), "audio0".into()],
+                    },
+                    "040800000073656d696e6172300700000073656d696e61720200000006000000\
+                     766964656f3006000000617564696f30",
+                ),
+                (
+                    ClientRequest::UnregisterPort {
+                        name: "video0".into(),
+                    },
+                    "0506000000766964656f30",
+                ),
+                (
+                    ClientRequest::Play {
+                        content: "lecture-1".into(),
+                        port: "seminar0".into(),
+                    },
+                    "06090000006c6563747572652d310800000073656d696e617230",
+                ),
+                (
+                    ClientRequest::Record {
+                        content: "new-talk".into(),
+                        port: "video0".into(),
+                        type_name: "nv-video".into(),
+                        est_secs: 3600,
+                    },
+                    "07080000006e65772d74616c6b06000000766964656f30080000006e762d7669\
+                     64656f100e0000",
+                ),
+                (
+                    ClientRequest::Delete {
+                        content: "old".into(),
+                    },
+                    "08030000006f6c64",
+                ),
+                (
+                    ClientRequest::AddType {
+                        spec: crate::content::builtin_types().remove(0),
+                    },
+                    "09050000006d7065673100000060e3160000000000",
+                ),
+                (
+                    ClientRequest::AttachTrick {
+                        content: "movie".into(),
+                        files: sample_trick(),
+                    },
+                    "0a050000006d6f766965080000006d6f7669652e6666080000006d6f7669652e\
+                     6662",
+                ),
+                (ClientRequest::Bye, "0b"),
+                (
+                    ClientRequest::Replicate {
+                        content: "popular".into(),
+                    },
+                    "0c07000000706f70756c6172",
+                ),
+                (ClientRequest::ServerStatus, "0d"),
+                (
+                    ClientRequest::Stats {
+                        msu: Some(MsuId(3)),
+                    },
+                    "0e010300000000000000",
+                ),
+                (ClientRequest::ClusterStats, "0f"),
+            ],
+            Some("client request"),
+        );
     }
 
     #[test]
     fn coord_replies_round_trip() {
-        let replies = vec![
-            CoordReply::Welcome {
-                session: SessionId(7),
-            },
-            CoordReply::ContentList {
-                entries: vec![ContentEntry {
-                    name: "m".into(),
-                    type_name: "mpeg1".into(),
-                    bytes: 42,
-                    duration_us: 1_000_000,
-                }],
-            },
-            CoordReply::TypeList {
-                types: crate::content::builtin_types(),
-            },
-            CoordReply::Ok,
-            CoordReply::Queued,
-            CoordReply::PlayStarted {
-                group: GroupId(1),
-                streams: vec![StreamStart {
-                    stream: StreamId(9),
-                    port_name: "video0".into(),
-                    msu: MsuId(2),
-                    trace: sample_trace(),
-                }],
-            },
-            CoordReply::RecordStarted {
-                group: GroupId(2),
-                streams: vec![RecordStart {
-                    stream: StreamId(10),
-                    port_name: "video0".into(),
-                    msu: MsuId(2),
-                    udp_sink: sample_addr(),
-                    trace: TraceCtx::new(77, SpanKind::Record),
-                }],
-            },
-            CoordReply::Error {
-                code: 9,
-                msg: "resources exhausted".into(),
-            },
-        ];
-        for r in &replies {
-            round_trip(r);
-        }
+        let stream = StreamStart {
+            stream: StreamId(9),
+            port_name: "video0".into(),
+            msu: MsuId(2),
+            trace: sample_trace(),
+        };
+        let record = RecordStart {
+            stream: StreamId(10),
+            port_name: "video0".into(),
+            msu: MsuId(2),
+            udp_sink: sample_addr(),
+            trace: TraceCtx::new(77, SpanKind::Record),
+        };
+        let disk = DiskStatus {
+            disk: DiskId(10),
+            free_bytes: 1_500_000_000,
+            capacity_bytes: 2_000_000_000,
+            bw_used: 375_000,
+            bw_capacity: 2_400_000,
+        };
+        let msu = MsuStatus {
+            msu: MsuId(1),
+            available: true,
+            net_used: 375_000,
+            net_capacity: 12_500_000,
+            disks: vec![disk.clone()],
+        };
+        check_golden(
+            &[(
+                stream.clone(),
+                "090000000000000006000000766964656f3002000000000000003412cdab0000\
+                                         000001",
+            )],
+            None,
+        );
+        check_golden(
+            &[(
+                record.clone(),
+                "0a0000000000000006000000766964656f300200000000000000040a0102038c\
+                                         134d0000000000000002",
+            )],
+            None,
+        );
+        check_golden(
+            &[(
+                disk,
+                "0a00000000000000002f6859000000000094357700000000d8b8050000000000\
+                               009f240000000000",
+            )],
+            None,
+        );
+        check_golden(&[(msu.clone(), "010000000000000001d8b805000000000020bcbe0000000000010000000a0000\
+                                      0000000000002f6859000000000094357700000000d8b8050000000000009f24\
+                                      0000000000")], None);
+        check_golden(
+            &[
+                (
+                    CoordReply::Welcome {
+                        session: SessionId(7),
+                    },
+                    "000700000000000000",
+                ),
+                (
+                    CoordReply::ContentList {
+                        entries: vec![ContentEntry {
+                            name: "m".into(),
+                            type_name: "mpeg1".into(),
+                            bytes: 42,
+                            duration_us: 1_000_000,
+                        }],
+                    },
+                    "0101000000010000006d050000006d706567312a0000000000000040420f0000\
+                     000000",
+                ),
+                (
+                    CoordReply::TypeList {
+                        types: vec![crate::content::builtin_types().remove(3)],
+                    },
+                    "02010000000700000073656d696e61720102000000080000006e762d76696465\
+                     6f090000007661742d617564696f",
+                ),
+                (CoordReply::Ok, "03"),
+                (CoordReply::Queued, "04"),
+                (
+                    CoordReply::PlayStarted {
+                        group: GroupId(1),
+                        streams: vec![stream],
+                    },
+                    "05010000000000000001000000090000000000000006000000766964656f3002\
+                     000000000000003412cdab0000000001",
+                ),
+                (
+                    CoordReply::RecordStarted {
+                        group: GroupId(2),
+                        streams: vec![record],
+                    },
+                    "060200000000000000010000000a0000000000000006000000766964656f3002\
+                     00000000000000040a0102038c134d0000000000000002",
+                ),
+                (
+                    CoordReply::Error {
+                        code: 9,
+                        msg: "resources exhausted".into(),
+                    },
+                    "070900130000007265736f757263657320657868617573746564",
+                ),
+                (
+                    CoordReply::Status {
+                        msus: vec![msu],
+                        active_streams: 3,
+                    },
+                    "0801000000010000000000000001d8b805000000000020bcbe00000000000100\
+                     00000a00000000000000002f6859000000000094357700000000d8b805000000\
+                     0000009f24000000000003000000",
+                ),
+                (
+                    CoordReply::Stats {
+                        snapshots: vec![small_snapshot()],
+                    },
+                    "0901000000050000006d73752d3180de80020000000001000000100000006e65\
+                     742e7061636b6574735f73656e7400e803000000000000",
+                ),
+                (
+                    CoordReply::ClusterStats {
+                        cluster: StatsSnapshot {
+                            source: "cluster".into(),
+                            uptime_us: 42_000_000,
+                            metrics: vec![],
+                        },
+                        msus: vec![small_snapshot()],
+                    },
+                    "0a07000000636c757374657280de800200000000000000000100000005000000\
+                     6d73752d3180de80020000000001000000100000006e65742e7061636b657473\
+                     5f73656e7400e803000000000000",
+                ),
+            ],
+            Some("coord reply"),
+        );
     }
 
     #[test]
     fn msu_coordinator_envelopes_round_trip() {
-        let msgs = vec![
-            MsuEnvelope {
-                req_id: 0,
-                body: MsuToCoord::Register {
-                    ctrl_addr: sample_addr(),
-                    disks: vec![DiskReport {
-                        capacity_bytes: 2_000_000_000,
-                        free_bytes: 1_500_000_000,
-                        bandwidth: ByteRate::from_bytes_per_sec(2_400_000),
-                    }],
-                    previous: Some(MsuId(4)),
-                },
-            },
-            MsuEnvelope {
-                req_id: 12,
-                body: MsuToCoord::ReadScheduled { error: None },
-            },
-            MsuEnvelope {
-                req_id: 13,
-                body: MsuToCoord::WriteScheduled {
-                    udp_sink: Some(sample_addr()),
-                    error: None,
-                },
-            },
-            MsuEnvelope {
-                req_id: 0,
-                body: MsuToCoord::StreamDone {
-                    stream: StreamId(5),
-                    reason: DoneReason::ClientQuit,
-                    bytes: 1_000_000,
-                    duration_us: 60_000_000,
-                    trace: sample_trace(),
-                },
-            },
-            MsuEnvelope {
-                req_id: 44,
-                body: MsuToCoord::Pong { snapshot: None },
-            },
-            MsuEnvelope {
-                req_id: 15,
-                body: MsuToCoord::FileDeleted { error: None },
-            },
-            MsuEnvelope {
-                req_id: 16,
-                body: MsuToCoord::FileCopied { error: None },
-            },
-        ];
-        for m in &msgs {
-            round_trip(m);
-        }
-
-        let coord = vec![
-            CoordEnvelope {
-                req_id: 0,
-                body: CoordToMsu::RegisterAck {
-                    msu: MsuId(1),
-                    disk_ids: vec![DiskId(10), DiskId(11)],
-                },
-            },
-            CoordEnvelope {
-                req_id: 12,
-                body: CoordToMsu::ScheduleRead {
-                    stream: StreamId(5),
-                    group: GroupId(3),
-                    group_size: 1,
-                    disk: DiskId(10),
-                    file: "movie".into(),
-                    protocol: ProtocolId::ConstantRate,
-                    pacing: PacingSpec::Constant {
-                        rate: BitRate::from_kbps(1500),
-                        packet_bytes: 4096,
+        let report = DiskReport {
+            capacity_bytes: 2_000_000_000,
+            free_bytes: 1_500_000_000,
+            bandwidth: ByteRate::from_bytes_per_sec(2_400_000),
+        };
+        let cbr = PacingSpec::Constant {
+            rate: BitRate::from_kbps(1500),
+            packet_bytes: 4096,
+        };
+        check_golden(
+            &[(
+                report.clone(),
+                "0094357700000000002f685900000000009f240000000000",
+            )],
+            None,
+        );
+        check_golden(
+            &[
+                (cbr.clone(), "0060e316000000000000100000"),
+                (PacingSpec::Stored, "01"),
+            ],
+            Some("pacing spec"),
+        );
+        check_golden(
+            &[
+                (
+                    MsuToCoord::Register {
+                        ctrl_addr: sample_addr(),
+                        disks: vec![report],
+                        previous: Some(MsuId(4)),
                     },
-                    client_data: sample_addr(),
-                    client_ctrl: "10.1.2.3:6000".parse().unwrap(),
-                    trick: Some(TrickFiles {
-                        fast_forward: "movie.ff".into(),
-                        fast_backward: "movie.fb".into(),
-                    }),
-                    trace: sample_trace(),
+                    "00040a0102038c13010000000094357700000000002f685900000000009f2400\
+                     00000000010400000000000000",
+                ),
+                (MsuToCoord::ReadScheduled { error: None }, "0100"),
+                (
+                    MsuToCoord::WriteScheduled {
+                        udp_sink: Some(sample_addr()),
+                        error: None,
+                    },
+                    "0201040a0102038c1300",
+                ),
+                (
+                    MsuToCoord::StreamDone {
+                        stream: StreamId(5),
+                        reason: DoneReason::ClientQuit,
+                        bytes: 1_000_000,
+                        duration_us: 60_000_000,
+                        trace: sample_trace(),
+                    },
+                    "0305000000000000000140420f000000000000879303000000003412cdab0000\
+                     000001",
+                ),
+                (MsuToCoord::Pong { snapshot: None }, "0400"),
+                (
+                    MsuToCoord::FileDeleted {
+                        error: Some("no such file".into()),
+                    },
+                    "05010c0000006e6f20737563682066696c65",
+                ),
+                (MsuToCoord::FileCopied { error: None }, "0600"),
+                (
+                    MsuToCoord::Stats {
+                        snapshot: small_snapshot(),
+                    },
+                    "07050000006d73752d3180de80020000000001000000100000006e65742e7061\
+                     636b6574735f73656e7400e803000000000000",
+                ),
+            ],
+            Some("msu-to-coord"),
+        );
+        check_golden(
+            &[
+                (
+                    CoordToMsu::RegisterAck {
+                        msu: MsuId(1),
+                        disk_ids: vec![DiskId(10), DiskId(11)],
+                    },
+                    "000100000000000000020000000a000000000000000b00000000000000",
+                ),
+                (
+                    CoordToMsu::ScheduleRead {
+                        stream: StreamId(5),
+                        group: GroupId(3),
+                        group_size: 1,
+                        disk: DiskId(10),
+                        file: "movie".into(),
+                        protocol: ProtocolId::ConstantRate,
+                        pacing: cbr,
+                        client_data: sample_addr(),
+                        client_ctrl: ctrl_addr(),
+                        trick: Some(sample_trick()),
+                        trace: sample_trace(),
+                    },
+                    "0105000000000000000300000000000000010000000a00000000000000050000\
+                     006d6f766965000060e316000000000000100000040a0102038c13040a010203\
+                     701701080000006d6f7669652e6666080000006d6f7669652e66623412cdab00\
+                     00000001",
+                ),
+                (
+                    CoordToMsu::ScheduleWrite {
+                        stream: StreamId(6),
+                        group: GroupId(3),
+                        group_size: 2,
+                        disk: DiskId(10),
+                        file: "new-talk".into(),
+                        protocol: ProtocolId::Rtp,
+                        est_bytes: 500_000_000,
+                        stores_schedule: true,
+                        cbr_rate: None,
+                        client_ctrl: ctrl_addr(),
+                        trace: TraceCtx::new(78, SpanKind::Record),
+                    },
+                    "0206000000000000000300000000000000020000000a00000000000000080000\
+                     006e65772d74616c6b010065cd1d000000000100040a01020370174e00000000\
+                     00000002",
+                ),
+                (
+                    CoordToMsu::Cancel {
+                        stream: StreamId(6),
+                    },
+                    "030600000000000000",
+                ),
+                (CoordToMsu::Ping, "04"),
+                (CoordToMsu::Shutdown, "05"),
+                (
+                    CoordToMsu::DeleteFile {
+                        disk: DiskId(10),
+                        file: "old".into(),
+                    },
+                    "060a00000000000000030000006f6c64",
+                ),
+                (
+                    CoordToMsu::CopyFile {
+                        src_disk: DiskId(10),
+                        dst_disk: DiskId(11),
+                        file: "popular".into(),
+                    },
+                    "070a000000000000000b0000000000000007000000706f70756c6172",
+                ),
+                (CoordToMsu::GetStats, "08"),
+            ],
+            Some("coord-to-msu"),
+        );
+        check_golden(
+            &[(
+                MsuEnvelope {
+                    req_id: 12,
+                    body: MsuToCoord::ReadScheduled { error: None },
                 },
-            },
-            CoordEnvelope {
-                req_id: 13,
-                body: CoordToMsu::ScheduleWrite {
-                    stream: StreamId(6),
-                    group: GroupId(3),
-                    group_size: 2,
-                    disk: DiskId(10),
-                    file: "new-talk".into(),
-                    protocol: ProtocolId::Rtp,
-                    est_bytes: 500_000_000,
-                    stores_schedule: true,
-                    cbr_rate: None,
-                    client_ctrl: "10.1.2.3:6000".parse().unwrap(),
-                    trace: TraceCtx::new(78, SpanKind::Record),
+                "0c000000000000000100",
+            )],
+            None,
+        );
+        check_golden(
+            &[(
+                CoordEnvelope {
+                    req_id: 14,
+                    body: CoordToMsu::Ping,
                 },
-            },
-            CoordEnvelope {
-                req_id: 0,
-                body: CoordToMsu::Cancel {
-                    stream: StreamId(6),
-                },
-            },
-            CoordEnvelope {
-                req_id: 14,
-                body: CoordToMsu::Ping,
-            },
-            CoordEnvelope {
-                req_id: 15,
-                body: CoordToMsu::DeleteFile {
-                    disk: DiskId(10),
-                    file: "old".into(),
-                },
-            },
-            CoordEnvelope {
-                req_id: 16,
-                body: CoordToMsu::CopyFile {
-                    src_disk: DiskId(10),
-                    dst_disk: DiskId(11),
-                    file: "popular".into(),
-                },
-            },
-            CoordEnvelope {
-                req_id: 0,
-                body: CoordToMsu::Shutdown,
-            },
-        ];
-        for m in &coord {
-            round_trip(m);
-        }
+                "0e0000000000000004",
+            )],
+            None,
+        );
     }
 
     #[test]
     fn control_channel_messages_round_trip() {
-        round_trip(&MsuToClient::GroupReady {
-            group: GroupId(1),
-            streams: vec![StreamId(1), StreamId(2)],
-            trace: sample_trace(),
-        });
-        round_trip(&MsuToClient::VcrAck {
-            group: GroupId(1),
-            error: Some("no trick file".into()),
-        });
-        round_trip(&MsuToClient::GroupEnded {
-            group: GroupId(1),
-            reason: DoneReason::Error("disk failed".into()),
-        });
-        round_trip(&ClientToMsu::Vcr {
-            group: GroupId(1),
-            cmd: VcrCommand::Seek(MediaTime::from_secs(90)),
-        });
+        check_golden(
+            &[
+                (
+                    MsuToClient::GroupReady {
+                        group: GroupId(1),
+                        streams: vec![StreamId(1), StreamId(2)],
+                        trace: sample_trace(),
+                    },
+                    "00010000000000000002000000010000000000000002000000000000003412cd\
+                     ab0000000001",
+                ),
+                (
+                    MsuToClient::VcrAck {
+                        group: GroupId(1),
+                        error: Some("no trick file".into()),
+                    },
+                    "010100000000000000010d0000006e6f20747269636b2066696c65",
+                ),
+                (
+                    MsuToClient::GroupEnded {
+                        group: GroupId(1),
+                        reason: DoneReason::Error("disk failed".into()),
+                    },
+                    "020100000000000000040b0000006469736b206661696c6564",
+                ),
+            ],
+            Some("msu-to-client"),
+        );
+        check_golden(
+            &[(
+                ClientToMsu::Vcr {
+                    group: GroupId(1),
+                    cmd: VcrCommand::Seek(MediaTime::from_secs(90)),
+                },
+                "00010000000000000002804a5d0500000000",
+            )],
+            Some("client-to-msu"),
+        );
     }
 
     #[test]
     fn stats_messages_round_trip() {
-        use crate::wire::stats::{HistBucket, MetricEntry, MetricValue};
+        use crate::wire::stats::HistBucket;
         let snap = StatsSnapshot {
             source: "msu-1".into(),
             uptime_us: 42_000_000,
@@ -1655,16 +1873,20 @@ mod tests {
 
     #[test]
     fn done_reasons_round_trip() {
-        for reason in [
-            DoneReason::Completed,
-            DoneReason::ClientQuit,
-            DoneReason::Cancelled,
-            DoneReason::MsuShutdown,
-            DoneReason::Error("boom".into()),
-            DoneReason::IoError("read block 7 failed".into()),
-        ] {
-            round_trip(&reason);
-        }
+        check_golden(
+            &[
+                (DoneReason::Completed, "00"),
+                (DoneReason::ClientQuit, "01"),
+                (DoneReason::Cancelled, "02"),
+                (DoneReason::MsuShutdown, "03"),
+                (DoneReason::Error("boom".into()), "0404000000626f6f6d"),
+                (
+                    DoneReason::IoError("read block 7 failed".into()),
+                    "05130000007265616420626c6f636b2037206661696c6564",
+                ),
+            ],
+            Some("done reason"),
+        );
     }
 
     proptest! {

@@ -519,7 +519,7 @@ impl Wire for VcrCommand {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -527,6 +527,41 @@ mod tests {
         let bytes = v.to_bytes();
         let back = T::from_bytes(&bytes).expect("decode");
         assert_eq!(&back, v);
+    }
+
+    /// Checks a golden table: each value encodes to exactly its hex
+    /// (whitespace ignored) and decodes back, and every strict prefix of
+    /// the encoding fails to decode. For a tagged enum, `what` names it,
+    /// and each row with its first byte replaced by the smallest tag no
+    /// row uses must fail with `BadTag { what, .. }` — so an enum's table
+    /// holds one row per variant.
+    pub(crate) fn check_golden<T: Wire + PartialEq + core::fmt::Debug>(
+        rows: &[(T, &str)],
+        what: Option<&'static str>,
+    ) {
+        for (v, want) in rows {
+            let bytes = v.to_bytes();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            let want: String = want.split_whitespace().collect();
+            assert_eq!(got, want, "encoding of {v:?}");
+            assert_eq!(&T::from_bytes(&bytes).expect("decode"), v);
+            for cut in 0..bytes.len() {
+                assert!(T::from_bytes(&bytes[..cut]).is_err(), "{v:?} cut at {cut}");
+            }
+        }
+        let Some(what) = what else { return };
+        let tag = (0..=u8::MAX)
+            .find(|t| rows.iter().all(|(v, _)| v.to_bytes()[0] != *t))
+            .expect("a free tag");
+        for (v, _) in rows {
+            let mut bytes = v.to_bytes();
+            bytes[0] = tag;
+            assert_eq!(
+                T::from_bytes(&bytes),
+                Err(WireError::BadTag { what, tag }),
+                "{v:?} with tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -551,19 +586,116 @@ mod tests {
 
     #[test]
     fn calliope_types_round_trip() {
-        round_trip(&StreamId(99));
-        round_trip(&MediaTime::from_millis(1500));
-        round_trip(&VcrCommand::Seek(MediaTime::from_secs(30)));
-        round_trip(&VcrCommand::Quit);
-        for spec in crate::content::builtin_types() {
-            round_trip(&spec);
-        }
-        round_trip(&ContentEntry {
-            name: "lecture-1".into(),
-            type_name: "seminar".into(),
-            bytes: 1_350_000_000,
-            duration_us: 7_200_000_000,
-        });
+        check_golden(&[(ClientId(1), "0100000000000000")], None);
+        check_golden(&[(SessionId(2), "0200000000000000")], None);
+        check_golden(&[(StreamId(99), "6300000000000000")], None);
+        check_golden(&[(MsuId(4), "0400000000000000")], None);
+        check_golden(&[(DiskId(5), "0500000000000000")], None);
+        check_golden(&[(ContentId(6), "0600000000000000")], None);
+        check_golden(&[(PortId(7), "0700000000000000")], None);
+        check_golden(&[(GroupId(8), "0800000000000000")], None);
+        check_golden(&[(MediaTime::from_millis(1500), "60e3160000000000")], None);
+        check_golden(&[(BitRate::from_kbps(1500), "60e3160000000000")], None);
+        check_golden(
+            &[(ByteRate::from_bytes_per_sec(187_500), "6cdc020000000000")],
+            None,
+        );
+        check_golden(
+            &[
+                (ProtocolId::ConstantRate, "00"),
+                (ProtocolId::Rtp, "01"),
+                (ProtocolId::Vat, "02"),
+            ],
+            Some("protocol id"),
+        );
+        check_golden(
+            &[
+                (
+                    ContentKind::Constant {
+                        rate: BitRate::from_kbps(1500),
+                    },
+                    "0060e3160000000000",
+                ),
+                (
+                    ContentKind::Variable {
+                        bandwidth: BitRate::from_mbps(2),
+                        storage: ByteRate::from_bytes_per_sec(100_000),
+                    },
+                    "0180841e0000000000a086010000000000",
+                ),
+            ],
+            Some("content kind"),
+        );
+        check_golden(
+            &[
+                (
+                    TypeBody::Atomic {
+                        protocol: ProtocolId::Vat,
+                        kind: ContentKind::Constant {
+                            rate: BitRate::from_kbps(64),
+                        },
+                    },
+                    "00020000fa000000000000",
+                ),
+                (
+                    TypeBody::Composite {
+                        components: vec!["nv-video".into(), "vat-audio".into()],
+                    },
+                    "0102000000080000006e762d766964656f090000007661742d617564696f",
+                ),
+            ],
+            Some("type body"),
+        );
+        let builtin = crate::content::builtin_types();
+        check_golden(
+            &[
+                (
+                    builtin[0].clone(),
+                    "050000006d7065673100000060e3160000000000",
+                ),
+                (
+                    builtin[1].clone(),
+                    "080000006e762d766964656f00010180841e0000000000a086010000000000",
+                ),
+                (
+                    builtin[2].clone(),
+                    "090000007661742d617564696f00020180380100000000000429000000000000",
+                ),
+                (
+                    builtin[3].clone(),
+                    "0700000073656d696e61720102000000080000006e762d766964656f09000000\
+                                      7661742d617564696f",
+                ),
+            ],
+            None,
+        );
+        check_golden(
+            &[(
+                ContentEntry {
+                    name: "lecture-1".into(),
+                    type_name: "seminar".into(),
+                    bytes: 1_350_000_000,
+                    duration_us: 7_200_000_000,
+                },
+                "090000006c6563747572652d310700000073656d696e6172805d775000000000\
+                 004827ad01000000",
+            )],
+            None,
+        );
+        check_golden(
+            &[
+                (VcrCommand::Play, "00"),
+                (VcrCommand::Pause, "01"),
+                (
+                    VcrCommand::Seek(MediaTime::from_secs(30)),
+                    "0280c3c90100000000",
+                ),
+                (VcrCommand::FastForward, "03"),
+                (VcrCommand::FastBackward, "04"),
+                (VcrCommand::Quit, "05"),
+            ],
+            Some("vcr command"),
+        );
     }
 
     #[test]

@@ -212,11 +212,7 @@ impl Wire for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn round_trip<T: Wire + PartialEq + core::fmt::Debug>(v: &T) {
-        let bytes = v.to_bytes();
-        assert_eq!(&T::from_bytes(&bytes).expect("decode"), v);
-    }
+    use crate::wire::tests::check_golden;
 
     fn sample_histogram() -> MetricValue {
         // 10 samples: 4 <= 100, 9 <= 1000, 1 overflow.
@@ -257,7 +253,26 @@ mod tests {
                 },
             ],
         };
-        round_trip(&snap);
+        check_golden(
+            &[(
+                HistBucket { le: 100, count: 4 },
+                "64000000000000000400000000000000",
+            )],
+            None,
+        );
+        check_golden(
+            &[(
+                snap.metrics[0].clone(),
+                "100000006e65742e7061636b6574735f73656e74002a00000000000000",
+            )],
+            None,
+        );
+        check_golden(&[(snap.clone(), "050000006d73752d3287d612000000000003000000100000006e65742e706163\
+                                       6b6574735f73656e74002a0000000000000014000000737073632e6e65745f71\
+                                       756575655f646570746801030000000000000011000000000000000f0000006e\
+                                       65742e6c6174656e6573735f7573020300000064000000000000000400000000\
+                                       000000e8030000000000000900000000000000ffffffffffffffff0a00000000\
+                                       0000000a000000000000008813000000000000")], None);
         assert_eq!(snap.counter("net.packets_sent"), 42);
         assert_eq!(snap.counter("missing"), 0);
         assert!(snap.get("net.lateness_us").is_some());
@@ -289,18 +304,21 @@ mod tests {
 
     #[test]
     fn metric_values_round_trip_and_reject_bad_tags() {
-        round_trip(&MetricValue::Counter(u64::MAX));
-        round_trip(&MetricValue::Gauge {
-            value: 0,
-            high_water: 9,
-        });
-        round_trip(&sample_histogram());
-        assert!(matches!(
-            MetricValue::from_bytes(&[9]),
-            Err(WireError::BadTag {
-                what: "metric value",
-                ..
-            })
-        ));
+        check_golden(
+            &[
+                (MetricValue::Counter(u64::MAX), "00ffffffffffffffff"),
+                (
+                    MetricValue::Gauge {
+                        value: 0,
+                        high_water: 9,
+                    },
+                    "0100000000000000000900000000000000",
+                ),
+                (sample_histogram(), "020300000064000000000000000400000000000000e803000000000000090000\
+                                      0000000000ffffffffffffffff0a000000000000000a00000000000000881300\
+                                      0000000000"),
+            ],
+            Some("metric value"),
+        );
     }
 }
