@@ -8,7 +8,8 @@
 //! enough to cache entirely).
 
 use calliope_types::error::{Error, Result};
-use calliope_types::wire::{Reader, Wire, WireError};
+use calliope_types::impl_wire;
+use calliope_types::wire::Wire;
 use std::collections::BTreeMap;
 
 /// How a file's bytes are organized.
@@ -23,23 +24,8 @@ pub enum FileKind {
     IbTree,
 }
 
-impl Wire for FileKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            FileKind::Raw => 0,
-            FileKind::IbTree => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8("file kind")? {
-            0 => Ok(FileKind::Raw),
-            1 => Ok(FileKind::IbTree),
-            tag => Err(WireError::BadTag {
-                what: "file kind",
-                tag,
-            }),
-        }
-    }
+impl_wire! {
+    enum FileKind as "file kind" { 0 => Raw, 1 => IbTree }
 }
 
 /// One IB-tree root entry: the first delivery-time key covered by an
@@ -53,17 +39,8 @@ pub struct RootEntry {
     pub page: u64,
 }
 
-impl Wire for RootEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.first_key.encode(buf);
-        self.page.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RootEntry {
-            first_key: u64::decode(r)?,
-            page: u64::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct RootEntry { first_key, page }
 }
 
 /// Metadata for one file.
@@ -119,28 +96,9 @@ impl FileMeta {
     }
 }
 
-impl Wire for FileMeta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.kind.encode(buf);
-        self.len_bytes.encode(buf);
-        self.duration_us.encode(buf);
-        self.blocks.encode(buf);
-        self.reserved.encode(buf);
-        self.root.encode(buf);
-        self.finalized.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(FileMeta {
-            name: String::decode(r)?,
-            kind: FileKind::decode(r)?,
-            len_bytes: u64::decode(r)?,
-            duration_us: u64::decode(r)?,
-            blocks: Vec::<u64>::decode(r)?,
-            reserved: Vec::<u64>::decode(r)?,
-            root: Vec::<RootEntry>::decode(r)?,
-            finalized: bool::decode(r)?,
-        })
+impl_wire! {
+    struct FileMeta {
+        name, kind, len_bytes, duration_us, blocks, reserved, root, finalized,
     }
 }
 
@@ -221,6 +179,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calliope_types::wire::WireError;
     use proptest::prelude::*;
 
     fn sample_meta(name: &str) -> FileMeta {

@@ -37,25 +37,6 @@ pub enum ProtocolId {
 impl ProtocolId {
     /// All known protocol ids, for table-driven tests and registries.
     pub const ALL: [ProtocolId; 3] = [ProtocolId::ConstantRate, ProtocolId::Rtp, ProtocolId::Vat];
-
-    /// Stable numeric tag used on the wire.
-    pub const fn tag(self) -> u8 {
-        match self {
-            ProtocolId::ConstantRate => 0,
-            ProtocolId::Rtp => 1,
-            ProtocolId::Vat => 2,
-        }
-    }
-
-    /// Inverse of [`ProtocolId::tag`].
-    pub fn from_tag(tag: u8) -> Option<ProtocolId> {
-        match tag {
-            0 => Some(ProtocolId::ConstantRate),
-            1 => Some(ProtocolId::Rtp),
-            2 => Some(ProtocolId::Vat),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ProtocolId {
@@ -259,14 +240,6 @@ pub struct ContentEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_tags_round_trip() {
-        for p in ProtocolId::ALL {
-            assert_eq!(ProtocolId::from_tag(p.tag()), Some(p));
-        }
-        assert_eq!(ProtocolId::from_tag(250), None);
-    }
 
     #[test]
     fn constant_type_uses_same_rate_for_both() {

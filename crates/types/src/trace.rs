@@ -15,7 +15,7 @@
 //! [`SpanKind::Failover`], so the re-admission is visibly part of the
 //! original timeline.
 
-use crate::wire::{Reader, Wire, WireError};
+use crate::impl_wire;
 use core::fmt;
 
 /// What kind of stream lifecycle a trace id belongs to.
@@ -34,16 +34,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    fn from_tag(tag: u8) -> Option<SpanKind> {
-        match tag {
-            0 => Some(SpanKind::None),
-            1 => Some(SpanKind::Play),
-            2 => Some(SpanKind::Record),
-            3 => Some(SpanKind::Failover),
-            _ => None,
-        }
-    }
-
     /// Short lower-case name used in log lines.
     pub fn name(self) -> &'static str {
         match self {
@@ -93,26 +83,17 @@ impl fmt::Display for TraceCtx {
     }
 }
 
-impl Wire for TraceCtx {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        buf.push(self.kind as u8);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = u64::decode(r)?;
-        let tag = r.u8("span kind")?;
-        let kind = SpanKind::from_tag(tag).ok_or(WireError::BadTag {
-            what: "span kind",
-            tag,
-        })?;
-        Ok(TraceCtx { id, kind })
-    }
+impl_wire! {
+    enum SpanKind as "span kind" { 0 => None, 1 => Play, 2 => Record, 3 => Failover }
+
+    struct TraceCtx { id, kind }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::tests::check_golden;
+    use crate::wire::{Wire, WireError};
 
     #[test]
     fn trace_ctx_round_trips() {

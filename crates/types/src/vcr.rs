@@ -29,18 +29,6 @@ pub enum VcrCommand {
 }
 
 impl VcrCommand {
-    /// Stable numeric tag used on the wire.
-    pub const fn tag(self) -> u8 {
-        match self {
-            VcrCommand::Play => 0,
-            VcrCommand::Pause => 1,
-            VcrCommand::Seek(_) => 2,
-            VcrCommand::FastForward => 3,
-            VcrCommand::FastBackward => 4,
-            VcrCommand::Quit => 5,
-        }
-    }
-
     /// True if the command ends the stream.
     pub const fn is_terminal(self) -> bool {
         matches!(self, VcrCommand::Quit)
@@ -68,23 +56,6 @@ impl fmt::Display for VcrCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tags_are_distinct() {
-        let cmds = [
-            VcrCommand::Play,
-            VcrCommand::Pause,
-            VcrCommand::Seek(MediaTime::ZERO),
-            VcrCommand::FastForward,
-            VcrCommand::FastBackward,
-            VcrCommand::Quit,
-        ];
-        for (i, a) in cmds.iter().enumerate() {
-            for b in &cmds[i + 1..] {
-                assert_ne!(a.tag(), b.tag());
-            }
-        }
-    }
 
     #[test]
     fn classification() {

@@ -15,9 +15,9 @@
 //!    commands ([`MsuToClient`] / [`ClientToMsu`]).
 
 use super::stats::StatsSnapshot;
-use super::{Reader, Wire, WireError};
 use crate::content::{ContentEntry, ContentTypeSpec, ProtocolId};
 use crate::ids::{DiskId, GroupId, MsuId, SessionId, StreamId};
+use crate::impl_wire;
 use crate::time::{BitRate, ByteRate};
 use crate::trace::TraceCtx;
 use crate::vcr::VcrCommand;
@@ -43,36 +43,14 @@ pub enum DoneReason {
     IoError(String),
 }
 
-impl Wire for DoneReason {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DoneReason::Completed => buf.push(0),
-            DoneReason::ClientQuit => buf.push(1),
-            DoneReason::Cancelled => buf.push(2),
-            DoneReason::MsuShutdown => buf.push(3),
-            DoneReason::Error(msg) => {
-                buf.push(4);
-                msg.encode(buf);
-            }
-            DoneReason::IoError(msg) => {
-                buf.push(5);
-                msg.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8("done reason")? {
-            0 => Ok(DoneReason::Completed),
-            1 => Ok(DoneReason::ClientQuit),
-            2 => Ok(DoneReason::Cancelled),
-            3 => Ok(DoneReason::MsuShutdown),
-            4 => Ok(DoneReason::Error(String::decode(r)?)),
-            5 => Ok(DoneReason::IoError(String::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "done reason",
-                tag,
-            }),
-        }
+impl_wire! {
+    enum DoneReason as "done reason" {
+        0 => Completed,
+        1 => ClientQuit,
+        2 => Cancelled,
+        3 => MsuShutdown,
+        4 => Error(msg),
+        5 => IoError(msg),
     }
 }
 
@@ -92,29 +70,10 @@ pub enum PacingSpec {
     Stored,
 }
 
-impl Wire for PacingSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PacingSpec::Constant { rate, packet_bytes } => {
-                buf.push(0);
-                rate.encode(buf);
-                packet_bytes.encode(buf);
-            }
-            PacingSpec::Stored => buf.push(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8("pacing spec")? {
-            0 => Ok(PacingSpec::Constant {
-                rate: BitRate::decode(r)?,
-                packet_bytes: u32::decode(r)?,
-            }),
-            1 => Ok(PacingSpec::Stored),
-            tag => Err(WireError::BadTag {
-                what: "pacing spec",
-                tag,
-            }),
-        }
+impl_wire! {
+    enum PacingSpec as "pacing spec" {
+        0 => Constant { rate, packet_bytes },
+        1 => Stored,
     }
 }
 
@@ -129,17 +88,8 @@ pub struct TrickFiles {
     pub fast_backward: String,
 }
 
-impl Wire for TrickFiles {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.fast_forward.encode(buf);
-        self.fast_backward.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TrickFiles {
-            fast_forward: String::decode(r)?,
-            fast_backward: String::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct TrickFiles { fast_forward, fast_backward }
 }
 
 // ---------------------------------------------------------------------
@@ -255,144 +205,24 @@ pub enum ClientRequest {
     Bye,
 }
 
-impl Wire for ClientRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ClientRequest::Hello { client_name, admin } => {
-                buf.push(0);
-                client_name.encode(buf);
-                admin.encode(buf);
-            }
-            ClientRequest::ListContent => buf.push(1),
-            ClientRequest::ListTypes => buf.push(2),
-            ClientRequest::RegisterPort {
-                name,
-                type_name,
-                data_addr,
-                ctrl_addr,
-            } => {
-                buf.push(3);
-                name.encode(buf);
-                type_name.encode(buf);
-                data_addr.encode(buf);
-                ctrl_addr.encode(buf);
-            }
-            ClientRequest::RegisterCompositePort {
-                name,
-                type_name,
-                components,
-            } => {
-                buf.push(4);
-                name.encode(buf);
-                type_name.encode(buf);
-                components.encode(buf);
-            }
-            ClientRequest::UnregisterPort { name } => {
-                buf.push(5);
-                name.encode(buf);
-            }
-            ClientRequest::Play { content, port } => {
-                buf.push(6);
-                content.encode(buf);
-                port.encode(buf);
-            }
-            ClientRequest::Record {
-                content,
-                port,
-                type_name,
-                est_secs,
-            } => {
-                buf.push(7);
-                content.encode(buf);
-                port.encode(buf);
-                type_name.encode(buf);
-                est_secs.encode(buf);
-            }
-            ClientRequest::Delete { content } => {
-                buf.push(8);
-                content.encode(buf);
-            }
-            ClientRequest::AddType { spec } => {
-                buf.push(9);
-                spec.encode(buf);
-            }
-            ClientRequest::AttachTrick { content, files } => {
-                buf.push(10);
-                content.encode(buf);
-                files.encode(buf);
-            }
-            ClientRequest::Bye => buf.push(11),
-            ClientRequest::Replicate { content } => {
-                buf.push(12);
-                content.encode(buf);
-            }
-            ClientRequest::ServerStatus => buf.push(13),
-            ClientRequest::Stats { msu } => {
-                buf.push(14);
-                msu.encode(buf);
-            }
-            ClientRequest::ClusterStats => buf.push(15),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("client request")? {
-            0 => ClientRequest::Hello {
-                client_name: String::decode(r)?,
-                admin: bool::decode(r)?,
-            },
-            1 => ClientRequest::ListContent,
-            2 => ClientRequest::ListTypes,
-            3 => ClientRequest::RegisterPort {
-                name: String::decode(r)?,
-                type_name: String::decode(r)?,
-                data_addr: SocketAddr::decode(r)?,
-                ctrl_addr: SocketAddr::decode(r)?,
-            },
-            4 => ClientRequest::RegisterCompositePort {
-                name: String::decode(r)?,
-                type_name: String::decode(r)?,
-                components: Vec::<String>::decode(r)?,
-            },
-            5 => ClientRequest::UnregisterPort {
-                name: String::decode(r)?,
-            },
-            6 => ClientRequest::Play {
-                content: String::decode(r)?,
-                port: String::decode(r)?,
-            },
-            7 => ClientRequest::Record {
-                content: String::decode(r)?,
-                port: String::decode(r)?,
-                type_name: String::decode(r)?,
-                est_secs: u32::decode(r)?,
-            },
-            8 => ClientRequest::Delete {
-                content: String::decode(r)?,
-            },
-            9 => ClientRequest::AddType {
-                spec: ContentTypeSpec::decode(r)?,
-            },
-            10 => ClientRequest::AttachTrick {
-                content: String::decode(r)?,
-                files: TrickFiles::decode(r)?,
-            },
-            11 => ClientRequest::Bye,
-            12 => ClientRequest::Replicate {
-                content: String::decode(r)?,
-            },
-            13 => ClientRequest::ServerStatus,
-            14 => ClientRequest::Stats {
-                msu: Option::<MsuId>::decode(r)?,
-            },
-            15 => ClientRequest::ClusterStats,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "client request",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum ClientRequest as "client request" {
+        0 => Hello { client_name, admin },
+        1 => ListContent,
+        2 => ListTypes,
+        3 => RegisterPort { name, type_name, data_addr, ctrl_addr },
+        4 => RegisterCompositePort { name, type_name, components },
+        5 => UnregisterPort { name },
+        6 => Play { content, port },
+        7 => Record { content, port, type_name, est_secs },
+        8 => Delete { content },
+        9 => AddType { spec },
+        10 => AttachTrick { content, files },
+        11 => Bye,
+        12 => Replicate { content },
+        13 => ServerStatus,
+        14 => Stats { msu },
+        15 => ClusterStats,
     }
 }
 
@@ -413,21 +243,8 @@ pub struct StreamStart {
     pub trace: TraceCtx,
 }
 
-impl Wire for StreamStart {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.stream.encode(buf);
-        self.port_name.encode(buf);
-        self.msu.encode(buf);
-        self.trace.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StreamStart {
-            stream: StreamId::decode(r)?,
-            port_name: String::decode(r)?,
-            msu: MsuId::decode(r)?,
-            trace: TraceCtx::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct StreamStart { stream, port_name, msu, trace }
 }
 
 /// One scheduled recording stream, as reported to the client.
@@ -445,23 +262,8 @@ pub struct RecordStart {
     pub trace: TraceCtx,
 }
 
-impl Wire for RecordStart {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.stream.encode(buf);
-        self.port_name.encode(buf);
-        self.msu.encode(buf);
-        self.udp_sink.encode(buf);
-        self.trace.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RecordStart {
-            stream: StreamId::decode(r)?,
-            port_name: String::decode(r)?,
-            msu: MsuId::decode(r)?,
-            udp_sink: SocketAddr::decode(r)?,
-            trace: TraceCtx::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct RecordStart { stream, port_name, msu, udp_sink, trace }
 }
 
 /// One disk's load in a [`CoordReply::Status`] report.
@@ -479,23 +281,8 @@ pub struct DiskStatus {
     pub bw_capacity: u64,
 }
 
-impl Wire for DiskStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.disk.encode(buf);
-        self.free_bytes.encode(buf);
-        self.capacity_bytes.encode(buf);
-        self.bw_used.encode(buf);
-        self.bw_capacity.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DiskStatus {
-            disk: DiskId::decode(r)?,
-            free_bytes: u64::decode(r)?,
-            capacity_bytes: u64::decode(r)?,
-            bw_used: u64::decode(r)?,
-            bw_capacity: u64::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct DiskStatus { disk, free_bytes, capacity_bytes, bw_used, bw_capacity }
 }
 
 /// One MSU's load in a [`CoordReply::Status`] report.
@@ -513,23 +300,8 @@ pub struct MsuStatus {
     pub disks: Vec<DiskStatus>,
 }
 
-impl Wire for MsuStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.msu.encode(buf);
-        self.available.encode(buf);
-        self.net_used.encode(buf);
-        self.net_capacity.encode(buf);
-        self.disks.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MsuStatus {
-            msu: MsuId::decode(r)?,
-            available: bool::decode(r)?,
-            net_used: u64::decode(r)?,
-            net_capacity: u64::decode(r)?,
-            disks: Vec::<DiskStatus>::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct MsuStatus { msu, available, net_used, net_capacity, disks }
 }
 
 /// Replies the Coordinator sends to a client.
@@ -603,101 +375,19 @@ pub enum CoordReply {
     },
 }
 
-impl Wire for CoordReply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            CoordReply::Welcome { session } => {
-                buf.push(0);
-                session.encode(buf);
-            }
-            CoordReply::ContentList { entries } => {
-                buf.push(1);
-                entries.encode(buf);
-            }
-            CoordReply::TypeList { types } => {
-                buf.push(2);
-                types.encode(buf);
-            }
-            CoordReply::Ok => buf.push(3),
-            CoordReply::Queued => buf.push(4),
-            CoordReply::PlayStarted { group, streams } => {
-                buf.push(5);
-                group.encode(buf);
-                streams.encode(buf);
-            }
-            CoordReply::RecordStarted { group, streams } => {
-                buf.push(6);
-                group.encode(buf);
-                streams.encode(buf);
-            }
-            CoordReply::Error { code, msg } => {
-                buf.push(7);
-                code.encode(buf);
-                msg.encode(buf);
-            }
-            CoordReply::Status {
-                msus,
-                active_streams,
-            } => {
-                buf.push(8);
-                msus.encode(buf);
-                active_streams.encode(buf);
-            }
-            CoordReply::Stats { snapshots } => {
-                buf.push(9);
-                snapshots.encode(buf);
-            }
-            CoordReply::ClusterStats { cluster, msus } => {
-                buf.push(10);
-                cluster.encode(buf);
-                msus.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("coord reply")? {
-            0 => CoordReply::Welcome {
-                session: SessionId::decode(r)?,
-            },
-            1 => CoordReply::ContentList {
-                entries: Vec::<ContentEntry>::decode(r)?,
-            },
-            2 => CoordReply::TypeList {
-                types: Vec::<ContentTypeSpec>::decode(r)?,
-            },
-            3 => CoordReply::Ok,
-            4 => CoordReply::Queued,
-            5 => CoordReply::PlayStarted {
-                group: GroupId::decode(r)?,
-                streams: Vec::<StreamStart>::decode(r)?,
-            },
-            6 => CoordReply::RecordStarted {
-                group: GroupId::decode(r)?,
-                streams: Vec::<RecordStart>::decode(r)?,
-            },
-            7 => CoordReply::Error {
-                code: u16::decode(r)?,
-                msg: String::decode(r)?,
-            },
-            8 => CoordReply::Status {
-                msus: Vec::<MsuStatus>::decode(r)?,
-                active_streams: u32::decode(r)?,
-            },
-            9 => CoordReply::Stats {
-                snapshots: Vec::<StatsSnapshot>::decode(r)?,
-            },
-            10 => CoordReply::ClusterStats {
-                cluster: StatsSnapshot::decode(r)?,
-                msus: Vec::<StatsSnapshot>::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "coord reply",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum CoordReply as "coord reply" {
+        0 => Welcome { session },
+        1 => ContentList { entries },
+        2 => TypeList { types },
+        3 => Ok,
+        4 => Queued,
+        5 => PlayStarted { group, streams },
+        6 => RecordStarted { group, streams },
+        7 => Error { code, msg },
+        8 => Status { msus, active_streams },
+        9 => Stats { snapshots },
+        10 => ClusterStats { cluster, msus },
     }
 }
 
@@ -718,19 +408,8 @@ pub struct DiskReport {
     pub bandwidth: ByteRate,
 }
 
-impl Wire for DiskReport {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.capacity_bytes.encode(buf);
-        self.free_bytes.encode(buf);
-        self.bandwidth.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DiskReport {
-            capacity_bytes: u64::decode(r)?,
-            free_bytes: u64::decode(r)?,
-            bandwidth: ByteRate::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct DiskReport { capacity_bytes, free_bytes, bandwidth }
 }
 
 /// Messages from an MSU to the Coordinator.
@@ -803,101 +482,16 @@ pub enum MsuToCoord {
     },
 }
 
-impl Wire for MsuToCoord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MsuToCoord::Register {
-                ctrl_addr,
-                disks,
-                previous,
-            } => {
-                buf.push(0);
-                ctrl_addr.encode(buf);
-                disks.encode(buf);
-                previous.encode(buf);
-            }
-            MsuToCoord::ReadScheduled { error } => {
-                buf.push(1);
-                error.encode(buf);
-            }
-            MsuToCoord::WriteScheduled { udp_sink, error } => {
-                buf.push(2);
-                udp_sink.encode(buf);
-                error.encode(buf);
-            }
-            MsuToCoord::StreamDone {
-                stream,
-                reason,
-                bytes,
-                duration_us,
-                trace,
-            } => {
-                buf.push(3);
-                stream.encode(buf);
-                reason.encode(buf);
-                bytes.encode(buf);
-                duration_us.encode(buf);
-                trace.encode(buf);
-            }
-            MsuToCoord::Pong { snapshot } => {
-                buf.push(4);
-                snapshot.encode(buf);
-            }
-            MsuToCoord::FileDeleted { error } => {
-                buf.push(5);
-                error.encode(buf);
-            }
-            MsuToCoord::FileCopied { error } => {
-                buf.push(6);
-                error.encode(buf);
-            }
-            MsuToCoord::Stats { snapshot } => {
-                buf.push(7);
-                snapshot.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("msu-to-coord")? {
-            0 => MsuToCoord::Register {
-                ctrl_addr: SocketAddr::decode(r)?,
-                disks: Vec::<DiskReport>::decode(r)?,
-                previous: Option::<MsuId>::decode(r)?,
-            },
-            1 => MsuToCoord::ReadScheduled {
-                error: Option::<String>::decode(r)?,
-            },
-            2 => MsuToCoord::WriteScheduled {
-                udp_sink: Option::<SocketAddr>::decode(r)?,
-                error: Option::<String>::decode(r)?,
-            },
-            3 => MsuToCoord::StreamDone {
-                stream: StreamId::decode(r)?,
-                reason: DoneReason::decode(r)?,
-                bytes: u64::decode(r)?,
-                duration_us: u64::decode(r)?,
-                trace: TraceCtx::decode(r)?,
-            },
-            4 => MsuToCoord::Pong {
-                snapshot: Option::<StatsSnapshot>::decode(r)?,
-            },
-            5 => MsuToCoord::FileDeleted {
-                error: Option::<String>::decode(r)?,
-            },
-            6 => MsuToCoord::FileCopied {
-                error: Option::<String>::decode(r)?,
-            },
-            7 => MsuToCoord::Stats {
-                snapshot: StatsSnapshot::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "msu-to-coord",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum MsuToCoord as "msu-to-coord" {
+        0 => Register { ctrl_addr, disks, previous },
+        1 => ReadScheduled { error },
+        2 => WriteScheduled { udp_sink, error },
+        3 => StreamDone { stream, reason, bytes, duration_us, trace },
+        4 => Pong { snapshot },
+        5 => FileDeleted { error },
+        6 => FileCopied { error },
+        7 => Stats { snapshot },
     }
 }
 
@@ -1000,145 +594,23 @@ pub enum CoordToMsu {
     Shutdown,
 }
 
-impl Wire for CoordToMsu {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            CoordToMsu::RegisterAck { msu, disk_ids } => {
-                buf.push(0);
-                msu.encode(buf);
-                disk_ids.encode(buf);
-            }
-            CoordToMsu::ScheduleRead {
-                stream,
-                group,
-                group_size,
-                disk,
-                file,
-                protocol,
-                pacing,
-                client_data,
-                client_ctrl,
-                trick,
-                trace,
-            } => {
-                buf.push(1);
-                stream.encode(buf);
-                group.encode(buf);
-                group_size.encode(buf);
-                disk.encode(buf);
-                file.encode(buf);
-                protocol.encode(buf);
-                pacing.encode(buf);
-                client_data.encode(buf);
-                client_ctrl.encode(buf);
-                trick.encode(buf);
-                trace.encode(buf);
-            }
-            CoordToMsu::ScheduleWrite {
-                stream,
-                group,
-                group_size,
-                disk,
-                file,
-                protocol,
-                est_bytes,
-                stores_schedule,
-                cbr_rate,
-                client_ctrl,
-                trace,
-            } => {
-                buf.push(2);
-                stream.encode(buf);
-                group.encode(buf);
-                group_size.encode(buf);
-                disk.encode(buf);
-                file.encode(buf);
-                protocol.encode(buf);
-                est_bytes.encode(buf);
-                stores_schedule.encode(buf);
-                cbr_rate.encode(buf);
-                client_ctrl.encode(buf);
-                trace.encode(buf);
-            }
-            CoordToMsu::Cancel { stream } => {
-                buf.push(3);
-                stream.encode(buf);
-            }
-            CoordToMsu::Ping => buf.push(4),
-            CoordToMsu::Shutdown => buf.push(5),
-            CoordToMsu::DeleteFile { disk, file } => {
-                buf.push(6);
-                disk.encode(buf);
-                file.encode(buf);
-            }
-            CoordToMsu::CopyFile {
-                src_disk,
-                dst_disk,
-                file,
-            } => {
-                buf.push(7);
-                src_disk.encode(buf);
-                dst_disk.encode(buf);
-                file.encode(buf);
-            }
-            CoordToMsu::GetStats => buf.push(8),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("coord-to-msu")? {
-            0 => CoordToMsu::RegisterAck {
-                msu: MsuId::decode(r)?,
-                disk_ids: Vec::<DiskId>::decode(r)?,
-            },
-            1 => CoordToMsu::ScheduleRead {
-                stream: StreamId::decode(r)?,
-                group: GroupId::decode(r)?,
-                group_size: u32::decode(r)?,
-                disk: DiskId::decode(r)?,
-                file: String::decode(r)?,
-                protocol: ProtocolId::decode(r)?,
-                pacing: PacingSpec::decode(r)?,
-                client_data: SocketAddr::decode(r)?,
-                client_ctrl: SocketAddr::decode(r)?,
-                trick: Option::<TrickFiles>::decode(r)?,
-                trace: TraceCtx::decode(r)?,
-            },
-            2 => CoordToMsu::ScheduleWrite {
-                stream: StreamId::decode(r)?,
-                group: GroupId::decode(r)?,
-                group_size: u32::decode(r)?,
-                disk: DiskId::decode(r)?,
-                file: String::decode(r)?,
-                protocol: ProtocolId::decode(r)?,
-                est_bytes: u64::decode(r)?,
-                stores_schedule: bool::decode(r)?,
-                cbr_rate: Option::<BitRate>::decode(r)?,
-                client_ctrl: SocketAddr::decode(r)?,
-                trace: TraceCtx::decode(r)?,
-            },
-            3 => CoordToMsu::Cancel {
-                stream: StreamId::decode(r)?,
-            },
-            4 => CoordToMsu::Ping,
-            5 => CoordToMsu::Shutdown,
-            6 => CoordToMsu::DeleteFile {
-                disk: DiskId::decode(r)?,
-                file: String::decode(r)?,
-            },
-            7 => CoordToMsu::CopyFile {
-                src_disk: DiskId::decode(r)?,
-                dst_disk: DiskId::decode(r)?,
-                file: String::decode(r)?,
-            },
-            8 => CoordToMsu::GetStats,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "coord-to-msu",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum CoordToMsu as "coord-to-msu" {
+        0 => RegisterAck { msu, disk_ids },
+        1 => ScheduleRead {
+            stream, group, group_size, disk, file, protocol, pacing,
+            client_data, client_ctrl, trick, trace,
+        },
+        2 => ScheduleWrite {
+            stream, group, group_size, disk, file, protocol, est_bytes,
+            stores_schedule, cbr_rate, client_ctrl, trace,
+        },
+        3 => Cancel { stream },
+        4 => Ping,
+        5 => Shutdown,
+        6 => DeleteFile { disk, file },
+        7 => CopyFile { src_disk, dst_disk, file },
+        8 => GetStats,
     }
 }
 
@@ -1154,17 +626,8 @@ pub struct CoordEnvelope {
     pub body: CoordToMsu,
 }
 
-impl Wire for CoordEnvelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.req_id.encode(buf);
-        self.body.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CoordEnvelope {
-            req_id: u64::decode(r)?,
-            body: CoordToMsu::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct CoordEnvelope { req_id, body }
 }
 
 /// Envelope for MSU→Coordinator frames.
@@ -1176,17 +639,8 @@ pub struct MsuEnvelope {
     pub body: MsuToCoord,
 }
 
-impl Wire for MsuEnvelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.req_id.encode(buf);
-        self.body.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MsuEnvelope {
-            req_id: u64::decode(r)?,
-            body: MsuToCoord::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct MsuEnvelope { req_id, body }
 }
 
 // ---------------------------------------------------------------------
@@ -1224,53 +678,11 @@ pub enum MsuToClient {
     },
 }
 
-impl Wire for MsuToClient {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MsuToClient::GroupReady {
-                group,
-                streams,
-                trace,
-            } => {
-                buf.push(0);
-                group.encode(buf);
-                streams.encode(buf);
-                trace.encode(buf);
-            }
-            MsuToClient::VcrAck { group, error } => {
-                buf.push(1);
-                group.encode(buf);
-                error.encode(buf);
-            }
-            MsuToClient::GroupEnded { group, reason } => {
-                buf.push(2);
-                group.encode(buf);
-                reason.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("msu-to-client")? {
-            0 => MsuToClient::GroupReady {
-                group: GroupId::decode(r)?,
-                streams: Vec::<StreamId>::decode(r)?,
-                trace: TraceCtx::decode(r)?,
-            },
-            1 => MsuToClient::VcrAck {
-                group: GroupId::decode(r)?,
-                error: Option::<String>::decode(r)?,
-            },
-            2 => MsuToClient::GroupEnded {
-                group: GroupId::decode(r)?,
-                reason: DoneReason::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "msu-to-client",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum MsuToClient as "msu-to-client" {
+        0 => GroupReady { group, streams, trace },
+        1 => VcrAck { group, error },
+        2 => GroupEnded { group, reason },
     }
 }
 
@@ -1287,29 +699,9 @@ pub enum ClientToMsu {
     },
 }
 
-impl Wire for ClientToMsu {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ClientToMsu::Vcr { group, cmd } => {
-                buf.push(0);
-                group.encode(buf);
-                cmd.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("client-to-msu")? {
-            0 => ClientToMsu::Vcr {
-                group: GroupId::decode(r)?,
-                cmd: VcrCommand::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "client-to-msu",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum ClientToMsu as "client-to-msu" {
+        0 => Vcr { group, cmd },
     }
 }
 
@@ -1320,6 +712,7 @@ mod tests {
     use crate::trace::SpanKind;
     use crate::wire::stats::{MetricEntry, MetricValue};
     use crate::wire::tests::check_golden;
+    use crate::wire::Wire;
     use proptest::prelude::*;
 
     fn round_trip<T: Wire + PartialEq + core::fmt::Debug>(v: &T) {

@@ -13,7 +13,7 @@
 //! [`MetricValue::quantile`] a single scan, and lets two snapshots be
 //! subtracted bucket-wise to get a rate window.
 
-use super::{Reader, Wire, WireError};
+use crate::impl_wire;
 
 /// One cumulative histogram bucket: how many samples were `<= le`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,17 +25,8 @@ pub struct HistBucket {
     pub count: u64,
 }
 
-impl Wire for HistBucket {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.le.encode(buf);
-        self.count.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HistBucket {
-            le: u64::decode(r)?,
-            count: u64::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct HistBucket { le, count }
 }
 
 /// The value of one named metric in a snapshot.
@@ -98,49 +89,11 @@ impl MetricValue {
     }
 }
 
-impl Wire for MetricValue {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MetricValue::Counter(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            MetricValue::Gauge { value, high_water } => {
-                buf.push(1);
-                value.encode(buf);
-                high_water.encode(buf);
-            }
-            MetricValue::Histogram {
-                buckets,
-                count,
-                sum,
-            } => {
-                buf.push(2);
-                buckets.encode(buf);
-                count.encode(buf);
-                sum.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8("metric value")? {
-            0 => MetricValue::Counter(u64::decode(r)?),
-            1 => MetricValue::Gauge {
-                value: u64::decode(r)?,
-                high_water: u64::decode(r)?,
-            },
-            2 => MetricValue::Histogram {
-                buckets: Vec::<HistBucket>::decode(r)?,
-                count: u64::decode(r)?,
-                sum: u64::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "metric value",
-                    tag,
-                })
-            }
-        })
+impl_wire! {
+    enum MetricValue as "metric value" {
+        0 => Counter(value),
+        1 => Gauge { value, high_water },
+        2 => Histogram { buckets, count, sum },
     }
 }
 
@@ -153,17 +106,8 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-impl Wire for MetricEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.value.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MetricEntry {
-            name: String::decode(r)?,
-            value: MetricValue::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct MetricEntry { name, value }
 }
 
 /// A full metrics snapshot from one component.
@@ -194,19 +138,8 @@ impl StatsSnapshot {
     }
 }
 
-impl Wire for StatsSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.source.encode(buf);
-        self.uptime_us.encode(buf);
-        self.metrics.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StatsSnapshot {
-            source: String::decode(r)?,
-            uptime_us: u64::decode(r)?,
-            metrics: Vec::<MetricEntry>::decode(r)?,
-        })
-    }
+impl_wire! {
+    struct StatsSnapshot { source, uptime_us, metrics }
 }
 
 #[cfg(test)]

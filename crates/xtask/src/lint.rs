@@ -1,7 +1,8 @@
 //! Static lint passes over the workspace sources.
 //!
-//! Three rules, all serving the concurrency-correctness story that the
-//! `calliope-check` model checker anchors:
+//! Four rules. The first three serve the concurrency-correctness story
+//! that the `calliope-check` model checker anchors; the fourth keeps the
+//! wire format declared in one place:
 //!
 //! 1. **unsafe-allowlist** — `unsafe` code may appear only in the files
 //!    named in [`UNSAFE_ALLOWLIST`], and every `unsafe` site (anywhere)
@@ -16,6 +17,10 @@
 //!    `read_blocks_abs`, or a socket `send_to`): holding the stream
 //!    control lock through a disk read or packet send is exactly the
 //!    kind of stall the duty-cycle scheduler exists to avoid.
+//! 4. **wire-impl-macro** — a hand-written `impl Wire for` may appear
+//!    only in the files named in [`WIRE_IMPL_ALLOWLIST`]; every other
+//!    type declares its wire format with `impl_wire!`, which generates
+//!    encoder and decoder from one field list so the two cannot drift.
 //!
 //! These are line-oriented heuristics, not a parser: they are cheap,
 //! dependency-free, and tuned to this codebase's idioms. They scan
@@ -41,6 +46,14 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
 /// How many lines above an `Ordering::Relaxed` site a `// relaxed:`
 /// justification may sit (so one comment can cover a cluster).
 const RELAXED_WINDOW: usize = 20;
+
+/// Files allowed to hand-write `impl Wire for`: the leaf codecs
+/// (integers, strings, collections, addresses) that `impl_wire!` builds
+/// on, and the fixed-layout UDP data header.
+const WIRE_IMPL_ALLOWLIST: &[&str] = &[
+    "crates/types/src/wire/mod.rs",
+    "crates/types/src/wire/data.rs",
+];
 
 /// Calls that must not run under a held lock guard in `disk.rs` /
 /// `net.rs`.
@@ -138,6 +151,7 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     let lines: Vec<&str> = src.lines().collect();
     let mut out = lint_unsafe(rel, &lines);
     out.extend(lint_relaxed(rel, &lines));
+    out.extend(lint_wire_impl(rel, &lines));
     if rel.ends_with("disk.rs") || rel.ends_with("net.rs") {
         out.extend(lint_lock_across_io(rel, &lines));
     }
@@ -252,6 +266,28 @@ fn lint_relaxed(rel: &str, lines: &[&str]) -> Vec<Violation> {
                     "Ordering::Relaxed without a `// relaxed:` justification on the \
                      same line or within the {RELAXED_WINDOW} lines above"
                 ),
+            });
+        }
+    }
+    out
+}
+
+/// Rule 4: no hand-written `Wire` impl outside the allowlist.
+fn lint_wire_impl(rel: &str, lines: &[&str]) -> Vec<Violation> {
+    if WIRE_IMPL_ALLOWLIST.contains(&rel) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        let code = split_comment(line).0.trim_start();
+        if code.starts_with("impl") && code.contains("Wire for ") {
+            out.push(Violation {
+                file: rel.to_string(),
+                line: idx + 1,
+                rule: "wire-impl-macro",
+                msg: "hand-written `impl Wire`; declare the wire format with \
+                      `calliope_types::impl_wire!` and add the type to its golden table"
+                    .to_string(),
             });
         }
     }
@@ -413,6 +449,24 @@ mod tests {
         assert!(lint_file("crates/msu/src/net.rs", dropped).is_empty());
         let scoped = "fn f() {\n    let v = {\n        let ctl = shared.ctl.lock();\n        ctl.v\n    };\n    socket.send_to(buf, dest).unwrap();\n}\n";
         assert!(lint_file("crates/msu/src/net.rs", scoped).is_empty());
+    }
+
+    #[test]
+    fn hand_written_wire_impl_is_flagged() {
+        let src = "impl Wire for FileKind {\n    fn encode(&self, buf: &mut Vec<u8>) {}\n}\nimpl calliope_types::wire::Wire for RootEntry {}\n";
+        let v = lint_file("crates/storage/src/catalog.rs", src);
+        assert_eq!(rules(&v), ["wire-impl-macro", "wire-impl-macro"], "{v:?}");
+        assert_eq!((v[0].line, v[1].line), (1, 4));
+    }
+
+    #[test]
+    fn wire_impls_pass_in_allowlist_and_via_the_macro() {
+        let leaf = "impl Wire for u8 {}\nimpl<T: Wire> Wire for Vec<T> {}\n";
+        assert!(lint_file("crates/types/src/wire/mod.rs", leaf).is_empty());
+        assert!(lint_file("crates/types/src/wire/data.rs", leaf).is_empty());
+        let declared =
+            "// Not `impl Wire for` by hand:\nimpl_wire! {\n    struct RootEntry { first_key, page }\n}\n";
+        assert!(lint_file("crates/storage/src/catalog.rs", declared).is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Repo automation tasks, invoked as `cargo xtask <task>`.
 //!
 //! The only task today is `lint`: the static passes that back the
-//! concurrency-correctness story (see `lint.rs`). Exits nonzero when
-//! any violation is found, so CI can gate on it.
+//! concurrency-correctness story and keep the wire format declared in
+//! one place (see `lint.rs`). Exits nonzero when any violation is found,
+//! so CI can gate on it.
 
 use std::process::ExitCode;
 
