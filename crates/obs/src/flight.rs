@@ -342,7 +342,7 @@ impl FlightRecorder {
     pub fn dump(&self, name: &str, reason: &str) {
         let mut buf = Vec::with_capacity(4096);
         if self.dump_to(name, reason, &mut buf).is_ok() {
-            let _ = io::stderr().write_all(&buf);
+            echo_to_stderr(&buf);
             if let Ok(path) = std::env::var(FLIGHT_FILE_ENV) {
                 if let Ok(mut f) = std::fs::OpenOptions::new()
                     .create(true)
@@ -353,6 +353,21 @@ impl FlightRecorder {
                 }
             }
         }
+    }
+}
+
+/// Copies a rendered dump to stderr. Test builds (this crate's own, and
+/// any crate that enables the `capture-dumps` feature from its
+/// dev-dependencies) go through `eprint!`, so the test harness captures
+/// the dump with the test that caused it instead of splicing it into
+/// the runner's `test name ... ok` lines. Other builds write to the
+/// handle directly: `eprint!` panics when stderr is broken, and a dump
+/// must never take a server thread down.
+fn echo_to_stderr(buf: &[u8]) {
+    if cfg!(any(test, feature = "capture-dumps")) {
+        eprint!("{}", String::from_utf8_lossy(buf));
+    } else {
+        let _ = io::stderr().write_all(buf);
     }
 }
 
