@@ -107,14 +107,18 @@ pub enum DiskCmd {
         /// Reply channel.
         reply: Sender<u64>,
     },
-    /// Reads one file page (used by the replication copy path).
-    ReadPage {
+    /// Reads file pages `first .. first + count` (the replication copy
+    /// path) in as few transfers as their layout allows: physically
+    /// adjacent blocks are read as one run, as in the duty cycle.
+    ReadPages {
         /// File name.
         name: String,
-        /// File-relative page index.
-        page: u64,
-        /// Reply channel (the full block).
-        reply: Sender<Result<Vec<u8>>>,
+        /// File-relative index of the first page.
+        first: u64,
+        /// Number of pages.
+        count: u64,
+        /// Reply channel (one full block per page, in page order).
+        reply: Sender<Result<Vec<Vec<u8>>>>,
     },
     /// Appends one page to an unfinalized file (replication copy path).
     AppendPage {
@@ -207,7 +211,7 @@ impl std::fmt::Debug for DiskCmd {
             DiskCmd::Create { .. } => "Create",
             DiskCmd::Delete { .. } => "Delete",
             DiskCmd::FreeBytes { .. } => "FreeBytes",
-            DiskCmd::ReadPage { .. } => "ReadPage",
+            DiskCmd::ReadPages { .. } => "ReadPages",
             DiskCmd::AppendPage { .. } => "AppendPage",
             DiskCmd::Finalize { .. } => "Finalize",
             DiskCmd::AddRead { .. } => "AddRead",
@@ -593,6 +597,28 @@ fn stat_file(fs: &MsuFs, name: &str) -> Result<ActiveFile> {
     })
 }
 
+/// Reads file pages `first .. first + count`, one vectored transfer per
+/// run of physically adjacent blocks. Every page is resolved (and
+/// range-checked) before the first read.
+fn read_pages(fs: &mut MsuFs, name: &str, first: u64, count: u64) -> Result<Vec<Vec<u8>>> {
+    let addrs = (first..first.saturating_add(count))
+        .map(|page| fs.page_block(name, page))
+        .collect::<Result<Vec<u64>>>()?;
+    // Pages are requested in ascending order, so the read order is the
+    // identity; a run may still grow downward if the file's blocks do.
+    let order: Vec<usize> = (0..addrs.len()).collect();
+    let mut pages: Vec<Vec<u8>> = vec![Vec::new(); addrs.len()];
+    for run in coalesce_runs(&addrs, &order) {
+        let mut bufs = vec![vec![0u8; fs.block_size()]; run.len()];
+        let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        fs.read_blocks_abs(run.start, &mut refs)?;
+        for (buf, &page) in bufs.into_iter().zip(&run.members) {
+            pages[page] = buf;
+        }
+    }
+    Ok(pages)
+}
+
 fn handle_cmd(
     fs: &mut MsuFs,
     geo: Geometry,
@@ -620,9 +646,13 @@ fn handle_cmd(
         DiskCmd::FreeBytes { reply } => {
             let _ = reply.send(fs.free_bytes());
         }
-        DiskCmd::ReadPage { name, page, reply } => {
-            let mut buf = vec![0u8; fs.block_size()];
-            let _ = reply.send(fs.read_page(&name, page, &mut buf).map(|()| buf));
+        DiskCmd::ReadPages {
+            name,
+            first,
+            count,
+            reply,
+        } => {
+            let _ = reply.send(read_pages(fs, &name, first, count));
         }
         DiskCmd::AppendPage {
             name,
@@ -935,6 +965,7 @@ mod tests {
     use calliope_types::GroupId;
     use crossbeam::channel::unbounded;
     use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     const BS: usize = 4096;
@@ -949,7 +980,17 @@ mod tests {
         Receiver<DiskEvent>,
         std::thread::JoinHandle<()>,
     ) {
-        let fs = test_fs();
+        spawn_disk_on(test_fs())
+    }
+
+    fn spawn_disk_on(
+        fs: MsuFs,
+    ) -> (
+        Sender<DiskCmd>,
+        Arc<Doorbell>,
+        Receiver<DiskEvent>,
+        std::thread::JoinHandle<()>,
+    ) {
         let (tx, rx) = unbounded();
         let (etx, erx) = unbounded();
         let h = std::thread::spawn(move || run(fs, rx, etx, MsuMetrics::new()));
@@ -1421,6 +1462,115 @@ mod tests {
             STREAMS * file.pages,
             "every page went through the batched path exactly once"
         );
+        tx.send(DiskCmd::Shutdown).unwrap();
+        h.join().unwrap();
+    }
+
+    /// Counts read transfers: a vectored multi-block read is one.
+    struct CountingDisk {
+        inner: MemDisk,
+        reads: Arc<AtomicU64>,
+    }
+
+    impl calliope_storage::BlockDevice for CountingDisk {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_block(&mut self, idx: u64, buf: &mut [u8]) -> Result<()> {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.inner.read_block(idx, buf)
+        }
+        fn read_blocks_into(&mut self, start: u64, bufs: &mut [&mut [u8]]) -> Result<()> {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.inner.read_blocks_into(start, bufs)
+        }
+        fn write_block(&mut self, idx: u64, buf: &[u8]) -> Result<()> {
+            self.inner.write_block(idx, buf)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn read_pages_coalesces_adjacent_blocks_and_splits_at_gaps() {
+        let reads = Arc::new(AtomicU64::new(0));
+        let dev = CountingDisk {
+            inner: MemDisk::new(BS, 128),
+            reads: Arc::clone(&reads),
+        };
+        let mut fs = MsuFs::format_with(Box::new(dev), 4).unwrap();
+        let page = |tag: u8| vec![tag; BS];
+        // "long": 11 pages on consecutive blocks. "gappy": 3 pages, then
+        // a page of "wedge" takes the next block, then 3 more pages.
+        for name in ["long", "gappy", "wedge"] {
+            fs.create(name, FileKind::Raw, 0).unwrap();
+        }
+        for i in 0..11u8 {
+            fs.append_page("long", &page(i), BS as u64).unwrap();
+        }
+        for i in 0..3u8 {
+            fs.append_page("gappy", &page(100 + i), BS as u64).unwrap();
+        }
+        fs.append_page("wedge", &page(200), BS as u64).unwrap();
+        for i in 3..6u8 {
+            fs.append_page("gappy", &page(100 + i), BS as u64).unwrap();
+        }
+        let blocks = |fs: &MsuFs, name: &str, n: u64| -> Vec<u64> {
+            (0..n).map(|p| fs.page_block(name, p).unwrap()).collect()
+        };
+        let long_blocks = blocks(&fs, "long", 11);
+        assert!(long_blocks.windows(2).all(|w| w[1] == w[0] + 1));
+        let gappy_blocks = blocks(&fs, "gappy", 6);
+        assert_eq!(gappy_blocks[3], gappy_blocks[2] + 2, "one block between");
+        // What per-page reads return, for comparison.
+        let per_page = |fs: &mut MsuFs, name: &str, n: u64| -> Vec<Vec<u8>> {
+            (0..n)
+                .map(|p| {
+                    let mut buf = vec![0u8; BS];
+                    fs.read_page(name, p, &mut buf).unwrap();
+                    buf
+                })
+                .collect()
+        };
+        let long_pages = per_page(&mut fs, "long", 11);
+        let gappy_pages = per_page(&mut fs, "gappy", 6);
+
+        let (tx, _bell, _erx, h) = spawn_disk_on(fs);
+        let read = |name: &str, first: u64, count: u64| -> (Result<Vec<Vec<u8>>>, u64) {
+            let before = reads.load(Ordering::SeqCst);
+            let r = rpc(&tx, |reply| DiskCmd::ReadPages {
+                name: name.into(),
+                first,
+                count,
+                reply,
+            });
+            (r, reads.load(Ordering::SeqCst) - before)
+        };
+
+        // Contiguous: 11 pages in chunks of 8 are ⌈11/8⌉ = 2 transfers.
+        let (head, n1) = read("long", 0, 8);
+        let (tail, n2) = read("long", 8, 3);
+        assert_eq!((n1, n2), (1, 1));
+        let got: Vec<Vec<u8>> = head.unwrap().into_iter().chain(tail.unwrap()).collect();
+        assert_eq!(got, long_pages);
+
+        // A gap in the layout splits the run there.
+        let (got, n) = read("gappy", 0, 6);
+        assert_eq!(n, 2);
+        assert_eq!(got.unwrap(), gappy_pages);
+
+        // A range past the end fails before any transfer.
+        let (err, n) = read("long", 8, 4);
+        assert!(err.is_err(), "page 11 of an 11-page file must not read");
+        assert_eq!(n, 0);
+        let (err, n) = read("missing", 0, 1);
+        assert!(err.is_err());
+        assert_eq!(n, 0);
+
         tx.send(DiskCmd::Shutdown).unwrap();
         h.join().unwrap();
     }

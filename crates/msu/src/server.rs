@@ -2,8 +2,9 @@
 //!
 //! [`MsuServer::start`] builds the whole unit: it opens (or formats)
 //! the file-backed disks, spawns one disk thread per disk plus the
-//! network thread and the event loop, dials the Coordinator, registers
-//! its disks, and then executes scheduling requests until shut down.
+//! network thread, the event loop and the replication copier, dials the
+//! Coordinator, registers its disks, and then executes scheduling
+//! requests until shut down.
 //! If the Coordinator connection breaks, the MSU keeps serving its
 //! streams and re-registers (with its previous identity) once the
 //! Coordinator is reachable again — the paper's §2.2 fault-tolerance
@@ -44,6 +45,11 @@ use std::time::Duration;
 /// admission control — the paper's measured 2.4 MB/s per disk under
 /// the combined workload.
 pub const REPORTED_DISK_BANDWIDTH: u64 = 2_400_000;
+
+/// Pages a replication copy reads per disk command (2 MB of 256 KB
+/// pages). The cap bounds the copy's transient buffers and how long one
+/// command keeps the source disk thread away from its duty cycle.
+const COPY_CHUNK_PAGES: u64 = 8;
 
 enum ServerEvent {
     Disk(DiskEvent),
@@ -202,6 +208,17 @@ impl MsuServer {
             }));
         }
 
+        // Copier: runs replication copies handed over by the reader. It
+        // exits once the reader, the only sender, is gone.
+        let (copies_tx, copies_rx) = unbounded::<CopyJob>();
+        {
+            let shared = Arc::clone(&shared);
+            let disk_ids = Arc::clone(&disk_ids);
+            handles.push(std::thread::spawn(move || {
+                run_copier(shared, disk_ids, copies_rx)
+            }));
+        }
+
         // Coordinator reader (with reconnection).
         {
             let shared = Arc::clone(&shared);
@@ -211,7 +228,9 @@ impl MsuServer {
             let events_tx = events_tx.clone();
             let wedged = Arc::clone(&wedged);
             handles.push(std::thread::spawn(move || {
-                coordinator_loop(shared, cfg, conn, msu_id, disk_ids, events_tx, stop, wedged)
+                coordinator_loop(
+                    shared, cfg, conn, msu_id, disk_ids, events_tx, copies_tx, stop, wedged,
+                )
             }));
         }
 
@@ -490,6 +509,7 @@ fn coordinator_loop(
     msu_id: MsuId,
     disk_ids: Arc<Mutex<Vec<DiskId>>>,
     events_tx: Sender<ServerEvent>,
+    copies: Sender<CopyJob>,
     stop: Arc<AtomicBool>,
     wedged: Arc<AtomicBool>,
 ) {
@@ -552,7 +572,9 @@ fn coordinator_loop(
             continue;
         };
 
-        let reply = handle_coord_request(&shared, &cfg, &disk_ids, &events_tx, msu_id, env.body);
+        let reply = handle_coord_request(
+            &shared, &cfg, &disk_ids, &events_tx, &copies, msu_id, env.req_id, env.body,
+        );
         match reply {
             Some(body) => shared.send_to_coord(&MsuEnvelope {
                 req_id: env.req_id,
@@ -578,12 +600,15 @@ fn local_disk(disk_ids: &Mutex<Vec<DiskId>>, id: DiskId) -> Result<usize> {
         })
 }
 
+#[allow(clippy::too_many_arguments)]
 fn handle_coord_request(
     shared: &Arc<ServerShared>,
     cfg: &MsuConfig,
     disk_ids: &Arc<Mutex<Vec<DiskId>>>,
     events_tx: &Sender<ServerEvent>,
+    copies: &Sender<CopyJob>,
     msu_id: MsuId,
+    req_id: u64,
     body: CoordToMsu,
 ) -> Option<MsuToCoord> {
     match body {
@@ -596,15 +621,23 @@ fn handle_coord_request(
         CoordToMsu::GetStats => Some(MsuToCoord::Stats {
             snapshot: shared.snapshot_stats(&msu_id.to_string()),
         }),
+        // A copy can take seconds; the copier thread runs it and replies
+        // under `req_id`, so this reader keeps answering Pings meanwhile.
         CoordToMsu::CopyFile {
             src_disk,
             dst_disk,
             file,
-        } => Some(MsuToCoord::FileCopied {
-            error: copy_file(shared, disk_ids, src_disk, dst_disk, &file)
-                .err()
-                .map(|e| e.to_string()),
-        }),
+        } => copies
+            .send(CopyJob {
+                req_id,
+                src_disk,
+                dst_disk,
+                file,
+            })
+            .err()
+            .map(|_| MsuToCoord::FileCopied {
+                error: Some("the copier thread is gone".into()),
+            }),
         CoordToMsu::DeleteFile { disk, file } => {
             let error = (|| -> Result<()> {
                 let local = local_disk(disk_ids, disk)?;
@@ -729,10 +762,40 @@ fn group_entry(
     info
 }
 
+/// A `CopyFile` request on its way from the Coordinator reader to the
+/// copier thread, with the id its `FileCopied` reply must carry.
+struct CopyJob {
+    req_id: u64,
+    src_disk: DiskId,
+    dst_disk: DiskId,
+    file: String,
+}
+
+/// The copier thread: runs replication copies one at a time and answers
+/// each under its request id. The Coordinator routes replies by id, so
+/// a `FileCopied` may arrive after the replies to later requests.
+fn run_copier(
+    shared: Arc<ServerShared>,
+    disk_ids: Arc<Mutex<Vec<DiskId>>>,
+    jobs: Receiver<CopyJob>,
+) {
+    for job in jobs {
+        let error = copy_file(&shared, &disk_ids, job.src_disk, job.dst_disk, &job.file)
+            .err()
+            .map(|e| e.to_string());
+        shared.send_to_coord(&MsuEnvelope {
+            req_id: job.req_id,
+            body: MsuToCoord::FileCopied { error },
+        });
+    }
+}
+
 /// Copies a file between two local disks through the disk threads'
-/// page RPCs — the replication mechanism of paper §2.3.3. Runs on the
-/// Coordinator-reader thread; a 16 MB test disk copies in well under a
-/// second, and replication is an administrative operation.
+/// RPCs — the replication mechanism of paper §2.3.3. The source is read
+/// [`COPY_CHUNK_PAGES`] pages per command, each chunk in as few
+/// transfers as the file's layout allows. A copy that fails after
+/// creating its destination deletes it again, so the reservation is
+/// returned and a retry starts clean.
 fn copy_file(
     shared: &Arc<ServerShared>,
     disk_ids: &Arc<Mutex<Vec<DiskId>>>,
@@ -759,32 +822,53 @@ fn copy_file(
         reply,
     })?;
     created?;
-    let mut remaining = meta.len_bytes;
-    for page in 0..meta.pages {
-        let data: Result<Vec<u8>> = shared.disk_rpc(src, |reply| DiskCmd::ReadPage {
+    let copied = copy_pages(shared, src, dst, &meta);
+    if copied.is_err() {
+        // Best effort: the copy's own error is what the caller needs.
+        let _ = shared.disk_rpc(dst, |reply| DiskCmd::Delete {
             name: file.to_owned(),
-            page,
             reply,
-        })?;
-        let data = data?;
-        // `len_bytes` accounting: raw files split it across pages; for
-        // IB-tree files the per-page attribution is irrelevant (pages
-        // are parsed whole), so the running remainder works for both.
-        let payload = remaining.min(match meta.kind {
-            FileKind::Raw => BLOCK_SIZE as u64,
-            FileKind::IbTree => remaining,
         });
-        remaining -= payload;
-        let appended: Result<u64> = shared.disk_rpc(dst, |reply| DiskCmd::AppendPage {
-            name: file.to_owned(),
-            data,
-            payload_bytes: payload,
+    }
+    copied
+}
+
+/// Appends every page of `meta` from disk `src` to the file of the same
+/// name just created on disk `dst`, then finalizes it.
+fn copy_pages(shared: &ServerShared, src: usize, dst: usize, meta: &ActiveFile) -> Result<()> {
+    let file = &meta.name;
+    let mut remaining = meta.len_bytes;
+    let mut first = 0;
+    while first < meta.pages {
+        let count = COPY_CHUNK_PAGES.min(meta.pages - first);
+        let chunk: Result<Vec<Vec<u8>>> = shared.disk_rpc(src, |reply| DiskCmd::ReadPages {
+            name: file.clone(),
+            first,
+            count,
             reply,
         })?;
-        appended?;
+        for data in chunk? {
+            // `len_bytes` accounting: raw files split it across pages;
+            // for IB-tree files the per-page attribution is irrelevant
+            // (pages are parsed whole), so the running remainder works
+            // for both.
+            let payload = remaining.min(match meta.kind {
+                FileKind::Raw => BLOCK_SIZE as u64,
+                FileKind::IbTree => remaining,
+            });
+            remaining -= payload;
+            let appended: Result<u64> = shared.disk_rpc(dst, |reply| DiskCmd::AppendPage {
+                name: file.clone(),
+                data,
+                payload_bytes: payload,
+                reply,
+            })?;
+            appended?;
+        }
+        first += count;
     }
     let finalized: Result<()> = shared.disk_rpc(dst, |reply| DiskCmd::Finalize {
-        name: file.to_owned(),
+        name: file.clone(),
         duration_us: meta.duration_us,
         // Root entries are file-relative page indices: valid verbatim.
         root: meta.root.clone(),

@@ -263,3 +263,105 @@ fn heartbeat_reaps_a_wedged_msu() {
     );
     cluster.shutdown();
 }
+
+/// Replicating a title takes a while on a slow disk. The MSU copies on
+/// its own copier thread, so its Coordinator reader keeps answering
+/// heartbeats meanwhile: with a 50 ms heartbeat and 300 ms per read,
+/// the copy succeeds and the MSU is never suspected.
+#[test]
+fn heartbeats_are_answered_during_a_long_copy() {
+    calliope_obs::init_logging();
+    let slow = FaultPlan {
+        read_latency: Duration::from_millis(300),
+        ..FaultPlan::default()
+    };
+    let cluster = Cluster::builder()
+        .msus(1)
+        .disks_per_msu(2)
+        .fault(0, 0, slow.clone())
+        .fault(0, 1, slow)
+        .heartbeat(Duration::from_millis(50), 2)
+        .build()
+        .unwrap();
+    let mut admin = cluster.client("root", true).unwrap();
+    content::upload_mpeg(&mut admin, "movie", 8, 11).unwrap();
+
+    let stats = cluster.coord.stats();
+    let (pongs_before, misses_before) =
+        (stats.snapshots_merged.get(), stats.heartbeat_misses.get());
+    let started = Instant::now();
+    admin.replicate("movie").unwrap();
+    narrate!("replicated in {:?}", started.elapsed());
+    assert!(
+        stats.snapshots_merged.get() > pongs_before,
+        "no heartbeat was answered while the copy ran"
+    );
+    assert_eq!(
+        stats.heartbeat_misses.get(),
+        misses_before,
+        "coord.heartbeat_misses grew during the copy"
+    );
+    let (msus, _) = admin.server_status().unwrap();
+    assert!(msus[0].available, "the copying MSU must stay up");
+    assert_eq!(cluster.coord.msu_count(), 1);
+    cluster.shutdown();
+}
+
+/// A copy that fails partway deletes its half-written destination, so
+/// the reservation comes back and a retry can succeed; the replica then
+/// serves the whole title.
+#[test]
+fn a_failed_copy_can_be_retried() {
+    calliope_obs::init_logging();
+    // Uploads land on the first disk with room, so the title's source
+    // is disk 0, and the copy's first read fails.
+    let cluster = Cluster::builder()
+        .msus(1)
+        .disks_per_msu(2)
+        .fault(0, 0, FaultPlan::fail_read(1))
+        .build()
+        .unwrap();
+    let mut admin = cluster.client("root", true).unwrap();
+    let original = content::upload_mpeg(&mut admin, "movie", 2, 21).unwrap();
+
+    let err = admin.replicate("movie").unwrap_err();
+    narrate!("first copy failed: {err}");
+    assert!(
+        err.to_string().contains("injected fault on read #1"),
+        "unexpected error: {err}"
+    );
+    admin.replicate("movie").unwrap();
+
+    // Fill the original's disk so the next viewer lands on the replica.
+    let mut holds = Vec::new();
+    let mut hold_ports = Vec::new();
+    for i in 0..12 {
+        hold_ports.push(admin.open_port(&format!("hold{i}"), "mpeg1").unwrap());
+    }
+    for (i, port) in hold_ports.iter().enumerate() {
+        holds.push(admin.play("movie", &format!("hold{i}"), &[port]).unwrap());
+    }
+    let port = admin.open_port("tv", "mpeg1").unwrap();
+    let mut play = admin.play("movie", "tv", &[&port]).unwrap();
+    let stream = play.streams[0];
+    let (msus, _) = admin.server_status().unwrap();
+    assert!(
+        msus[0].disks[1].bw_used > 0,
+        "the viewer must be served by the replica: {:?}",
+        msus[0].disks
+    );
+    assert_eq!(
+        play.wait_end(Duration::from_secs(30)).unwrap(),
+        DoneReason::Completed
+    );
+    let stats = wait_for(Duration::from_secs(5), || {
+        let s = port.stats(stream);
+        s.eos.then_some(s)
+    });
+    assert_eq!(stats.bytes, original.len() as u64, "every byte delivered");
+    assert_eq!(stats.lost, 0);
+    for mut p in holds {
+        p.quit().ok();
+    }
+    cluster.shutdown();
+}
